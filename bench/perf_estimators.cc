@@ -1,17 +1,17 @@
-// Estimator × feature-mode accuracy grid (run via bench/run_estimators.sh
-// → BENCH_estimators.json).
+// Feature-mode accuracy grid (run via bench/run_estimators.sh →
+// BENCH_estimators.json).
 //
-// The deliverable of the MAV + two-phase subsystem: CPI sampling error at
-// the Fig. 7 sample size for every cell of {freq, mav, combined} features ×
-// {Neyman, two-phase} estimators, across the paper's twelve workload
-// configurations. Like perf_service this is a custom sweep driver, not a
-// google-benchmark suite — the quantity under test is estimation accuracy,
-// not wall time, so each cell is the mean relative error over
-// kErrorRepetitions seeds (single draws are dominated by luck).
+// The deliverable of the MAV subsystem: CPI sampling error at the Fig. 7
+// sample size for each of the {freq, mav, combined} feature modes under
+// the paper's Neyman-allocated stratified estimator, across the paper's
+// twelve workload configurations. Like perf_service this is a custom sweep
+// driver, not a google-benchmark suite — the quantity under test is
+// estimation accuracy, not wall time, so each cell is the mean relative
+// error over kErrorRepetitions seeds (single draws are dominated by luck).
 //
 // Acceptance (exit non-zero on failure): MAV-informed phases must pay off —
-// the combined feature mode beats freq on mean sampling error, under the
-// same estimator, on at least one configuration.
+// the combined feature mode beats freq on mean sampling error on at least
+// one configuration.
 //
 // Flags (after the common obs flags): --out FILE.
 #include <array>
@@ -19,6 +19,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.h"
@@ -35,10 +36,9 @@ struct Cell {
 };
 
 constexpr std::size_t kModes = 3;
-constexpr std::size_t kEstimators = 2;
 
-const char* estimator_name(std::size_t e) {
-  return e == 0 ? "neyman" : "two-phase";
+std::string_view mode_name(std::size_t m) {
+  return features::to_string(static_cast<features::FeatureMode>(m));
 }
 
 }  // namespace
@@ -54,16 +54,14 @@ int main(int argc, char** argv) {
   const auto& names = bench::config_names();
   const auto runs = bench::run_configs(lab, names);
 
-  std::cout << "Estimator grid — CPI sampling error (sample size "
+  std::cout << "Feature-mode grid — CPI sampling error (sample size "
             << bench::kFig7SampleSize << ", " << bench::kErrorRepetitions
             << " seeds)\n";
-  Table table({"config", "freq|ney", "freq|2p", "mav|ney", "mav|2p",
-               "comb|ney", "comb|2p"});
+  Table table({"config", "freq", "mav", "combined"});
 
-  // grid[config][mode][estimator]
-  std::vector<std::array<std::array<Cell, kEstimators>, kModes>> grid(
-      runs.size());
-  double sums[kModes][kEstimators] = {};
+  // grid[config][mode]
+  std::vector<std::array<Cell, kModes>> grid(runs.size());
+  double sums[kModes] = {};
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const auto& prof = runs[i].profile;
     std::vector<std::string> row{names[i]};
@@ -71,59 +69,41 @@ int main(int argc, char** argv) {
       core::PhaseFormationConfig pcfg;
       pcfg.features = static_cast<features::FeatureMode>(m);
       const auto model = core::form_phases(prof, pcfg);
-      for (std::size_t e = 0; e < kEstimators; ++e) {
-        Cell cell;
-        for (int s = 0; s < bench::kErrorRepetitions; ++s) {
-          const core::SamplePlan plan =
-              e == 0 ? core::simprof_sample(prof, model,
-                                            bench::kFig7SampleSize, 1000 + s)
-                     : core::two_phase_sample(prof, model,
-                                              bench::kFig7SampleSize,
-                                              1000 + s);
-          cell.error += core::relative_error(plan, prof);
-          if (plan.estimated_cpi > 0.0) {
-            cell.ci_rel_width += 2.0 * plan.ci.margin / plan.estimated_cpi;
-          }
+      Cell cell;
+      for (int s = 0; s < bench::kErrorRepetitions; ++s) {
+        const core::SamplePlan plan = core::simprof_sample(
+            prof, model, bench::kFig7SampleSize, 1000 + s);
+        cell.error += core::relative_error(plan, prof);
+        if (plan.estimated_cpi > 0.0) {
+          cell.ci_rel_width += 2.0 * plan.ci.margin / plan.estimated_cpi;
         }
-        cell.error /= bench::kErrorRepetitions;
-        cell.ci_rel_width /= bench::kErrorRepetitions;
-        grid[i][m][e] = cell;
-        sums[m][e] += cell.error;
       }
-    }
-    for (std::size_t m = 0; m < kModes; ++m) {
-      for (std::size_t e = 0; e < kEstimators; ++e) {
-        row.push_back(Table::pct(grid[i][m][e].error));
-      }
+      cell.error /= bench::kErrorRepetitions;
+      cell.ci_rel_width /= bench::kErrorRepetitions;
+      grid[i][m] = cell;
+      sums[m] += cell.error;
+      row.push_back(Table::pct(cell.error));
     }
     table.row(std::move(row));
   }
   const double n = static_cast<double>(runs.size());
-  table.row({"average", Table::pct(sums[0][0] / n), Table::pct(sums[0][1] / n),
-             Table::pct(sums[1][0] / n), Table::pct(sums[1][1] / n),
-             Table::pct(sums[2][0] / n), Table::pct(sums[2][1] / n)});
+  table.row({"average", Table::pct(sums[0] / n), Table::pct(sums[1] / n),
+             Table::pct(sums[2] / n)});
   table.print(std::cout);
 
-  // Acceptance: combined must beat freq under the same estimator somewhere.
+  // Acceptance: combined must beat freq somewhere.
   std::size_t combined_beats_freq = 0;
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    for (std::size_t e = 0; e < kEstimators; ++e) {
-      if (grid[i][2][e].error < grid[i][0][e].error) ++combined_beats_freq;
-    }
+    if (grid[i][2].error < grid[i][0].error) ++combined_beats_freq;
   }
 
-  // Manifest quality figures for the `simprof report` regression gate:
-  // the historical freq/Neyman error, the MAV-informed combined error, and
-  // the two-phase CI width (all lower-is-better in the gate's table).
+  // Manifest quality figures for the `simprof report` regression gate: the
+  // historical freq error and the MAV-informed combined error (both
+  // lower-is-better in the gate's table).
   obs::ledger().set_config("sample_size",
                            std::to_string(bench::kFig7SampleSize));
-  obs::ledger().set_quality("sampling_error_frac", sums[0][0] / n);
-  obs::ledger().set_quality("mav_sampling_error_frac", sums[2][0] / n);
-  double tp_width = 0.0;
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    tp_width += grid[i][2][1].ci_rel_width;
-  }
-  obs::ledger().set_quality("two_phase_ci_rel_width", tp_width / n);
+  obs::ledger().set_quality("sampling_error_frac", sums[0] / n);
+  obs::ledger().set_quality("mav_sampling_error_frac", sums[2] / n);
 
   std::ofstream os(out);
   os << "{\n \"sample_size\": " << bench::kFig7SampleSize
@@ -131,39 +111,24 @@ int main(int argc, char** argv) {
      << ",\n \"configs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     os << "  {\"config\": \"" << names[i] << "\", \"cells\": [";
-    bool first = true;
     for (std::size_t m = 0; m < kModes; ++m) {
-      for (std::size_t e = 0; e < kEstimators; ++e) {
-        if (!first) os << ", ";
-        first = false;
-        os << "{\"features\": \""
-           << features::to_string(static_cast<features::FeatureMode>(m))
-           << "\", \"estimator\": \"" << estimator_name(e)
-           << "\", \"error\": " << grid[i][m][e].error
-           << ", \"ci_rel_width\": " << grid[i][m][e].ci_rel_width << "}";
-      }
+      os << (m > 0 ? ", " : "") << "{\"features\": \"" << mode_name(m)
+         << "\", \"error\": " << grid[i][m].error
+         << ", \"ci_rel_width\": " << grid[i][m].ci_rel_width << "}";
     }
     os << "]}" << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   os << " ],\n \"averages\": {";
-  {
-    bool first = true;
-    for (std::size_t m = 0; m < kModes; ++m) {
-      for (std::size_t e = 0; e < kEstimators; ++e) {
-        if (!first) os << ", ";
-        first = false;
-        os << "\"" << features::to_string(static_cast<features::FeatureMode>(m))
-           << "|" << estimator_name(e) << "\": " << sums[m][e] / n;
-      }
-    }
+  for (std::size_t m = 0; m < kModes; ++m) {
+    os << (m > 0 ? ", " : "") << "\"" << mode_name(m)
+       << "\": " << sums[m] / n;
   }
   os << "},\n \"combined_beats_freq_cells\": " << combined_beats_freq
      << "\n}\n";
   os.close();
 
-  std::cout << "combined beats freq (same estimator) on "
-            << combined_beats_freq << "/" << runs.size() * kEstimators
-            << " cells\n";
+  std::cout << "combined beats freq on " << combined_beats_freq << "/"
+            << runs.size() << " configs\n";
   if (combined_beats_freq == 0) {
     std::cerr << "FAIL: combined features never beat freq — MAV signal "
                  "missing from the grid\n";

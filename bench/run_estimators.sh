@@ -1,17 +1,17 @@
 #!/bin/sh
-# Refresh BENCH_estimators.json — the feature-mode × estimator accuracy grid.
+# Refresh BENCH_estimators.json — the feature-mode accuracy grid.
 #
 # Runs perf_estimators: mean CPI sampling error at the Fig. 7 sample size
-# for every cell of {freq, mav, combined} features × {Neyman, two-phase}
-# estimators over the twelve paper configurations, seed-averaged. The bench
-# exits non-zero unless the combined feature mode beats freq (same
-# estimator) on at least one configuration — the MAV payoff criterion.
+# for each of the {freq, mav, combined} feature modes under Neyman-allocated
+# stratified sampling over the twelve paper configurations, seed-averaged.
+# The bench exits non-zero unless the combined feature mode beats freq on
+# at least one configuration — the MAV payoff criterion.
 #
-# The manifest carries sampling_error_frac (freq/Neyman baseline),
-# mav_sampling_error_frac (combined/Neyman) and two_phase_ci_rel_width
-# (combined/two-phase) as quality figures, so `simprof report` gates
-# regressions against previous runs. The fold step appends the sample.*
-# counter snapshot under "simprof_metrics" and stamps build provenance.
+# The manifest carries sampling_error_frac (freq baseline) and
+# mav_sampling_error_frac (combined) as quality figures, so `simprof report`
+# gates regressions against previous runs. The fold step appends the
+# sample.* counter snapshot under "simprof_metrics" and stamps build
+# provenance.
 #
 # Usage: bench/run_estimators.sh [perf_estimators flags]
 set -e
@@ -52,8 +52,8 @@ with open("BENCH_estimators.json", "w") as f:
 
 avg = bench["averages"]
 print("folded metrics snapshot into BENCH_estimators.json")
-print("avg error  freq|neyman:", round(avg["freq|neyman"], 4),
-      " combined|neyman:", round(avg["combined|neyman"], 4),
-      " combined|two-phase:", round(avg["combined|two-phase"], 4))
+print("avg error  freq:", round(avg["freq"], 4),
+      " mav:", round(avg["mav"], 4),
+      " combined:", round(avg["combined"], 4))
 print("combined_beats_freq_cells:", bench["combined_beats_freq_cells"])
 EOF

@@ -6,7 +6,6 @@
 
 #include "obs/obs.h"
 #include "stats/descriptive.h"
-#include "stats/two_phase.h"
 #include "support/assert.h"
 #include "support/rng.h"
 
@@ -21,7 +20,6 @@ std::string_view to_string(SamplingTechnique t) {
     case SamplingTechnique::kSystematic: return "SYSTEMATIC";
     case SamplingTechnique::kSimProfSystematic: return "SimProf+SYS";
     case SamplingTechnique::kSmarts: return "SMARTS";
-    case SamplingTechnique::kSimProfTwoPhase: return "SimProf+2P";
   }
   return "unknown";
 }
@@ -174,75 +172,6 @@ SamplePlan code_sample(const ThreadProfile& profile, const PhaseModel& model) {
     est += model.phases[h].weight * profile.units[u].cpi();
   }
   plan.estimated_cpi = est;
-  return plan;
-}
-
-SamplePlan two_phase_sample(const ThreadProfile& profile,
-                            const PhaseModel& model, std::size_t n,
-                            std::uint64_t seed, double z) {
-  SIMPROF_EXPECTS(n > 0, "sample size must be positive");
-  SIMPROF_EXPECTS(model.labels.size() == profile.num_units(),
-                  "model fitted on a different profile");
-
-  obs::ObsSpan span("sample.two_phase",
-                    {{"n", n}, {"k", model.k}, {"units", profile.num_units()}});
-  static obs::Counter& plans =
-      obs::metrics().counter("sample.two_phase_plans");
-  plans.increment();
-
-  SamplePlan plan;
-  plan.technique = SamplingTechnique::kSimProfTwoPhase;
-
-  // Phase 1: a cheap SRS of n′ units, classified only (the model's labels
-  // stand in for the nearest-center lookup a live profiler would do).
-  const std::size_t big_n = profile.num_units();
-  const std::size_t nprime = std::min(big_n, n * kTwoPhaseOversample);
-  std::vector<std::size_t> idx(big_n);
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  Rng rng(seed);
-  shuffle(idx, rng);
-
-  std::vector<std::vector<std::size_t>> members(model.k);
-  for (std::size_t i = 0; i < nprime; ++i) {
-    members[model.labels[idx[i]]].push_back(idx[i]);
-  }
-  std::vector<std::size_t> phase1_counts(model.k);
-  std::vector<double> priors(model.k);
-  for (std::size_t h = 0; h < model.k; ++h) {
-    phase1_counts[h] = members[h].size();
-    priors[h] = model.phases[h].stddev_cpi;
-  }
-
-  // Phase 2: Neyman-against-priors allocation of the measured subsample,
-  // drawn without replacement from the phase-1 members of each stratum.
-  plan.allocation = stats::two_phase_allocation(phase1_counts, priors,
-                                                std::min(n, nprime));
-  std::vector<stats::TwoPhaseStratum> strata(model.k);
-  for (std::size_t h = 0; h < model.k; ++h) {
-    strata[h].phase1_count = phase1_counts[h];
-    const std::size_t nh = plan.allocation[h];
-    if (nh == 0) continue;
-    SIMPROF_ASSERT(nh <= members[h].size(),
-                   "allocation exceeds phase-1 stratum size");
-    shuffle(members[h], rng);
-    const double w_h = static_cast<double>(phase1_counts[h]) /
-                       static_cast<double>(nprime);
-    std::vector<double> sampled;
-    sampled.reserve(nh);
-    for (std::size_t i = 0; i < nh; ++i) {
-      plan.points.push_back(SimulationPoint{
-          members[h][i], h, w_h / static_cast<double>(nh)});
-      sampled.push_back(profile.units[members[h][i]].cpi());
-    }
-    strata[h].sample_size = nh;
-    strata[h].sample_mean = stats::mean(sampled);
-    strata[h].sample_stddev = stats::sample_stddev(sampled);
-  }
-
-  const stats::TwoPhaseEstimate est = stats::two_phase_estimate(strata, z);
-  plan.estimated_cpi = est.mean;
-  plan.standard_error = est.standard_error;
-  plan.ci = est.ci;
   return plan;
 }
 

@@ -34,7 +34,6 @@ enum class SamplingTechnique {
   kSystematic,
   kSimProfSystematic,
   kSmarts,
-  kSimProfTwoPhase,
 };
 
 std::string_view to_string(SamplingTechnique t);
@@ -98,25 +97,6 @@ SamplePlan simprof_systematic_sample(const ThreadProfile& profile,
 /// differ in measurement cost, not statistics.
 SamplePlan smarts_sample(const ThreadProfile& profile, std::size_t n,
                          std::uint64_t seed, double z = stats::kZ997);
-
-/// Phase-1 oversampling factor of two_phase_sample: the cheap classified
-/// sample is n′ = min(N, kTwoPhaseOversample·n). Classification is a
-/// nearest-center lookup, orders of magnitude cheaper than detailed
-/// measurement, so a generous factor keeps the weight-noise variance term
-/// (Σ w′_h(ȳ_h−ȳ)²/n′) small relative to the within-stratum term.
-inline constexpr std::size_t kTwoPhaseOversample = 8;
-
-/// SimProf with two-phase stratified estimation (double sampling for
-/// stratification, stats/two_phase.h): a phase-1 SRS of n′ units is only
-/// *classified* under the model (estimated weights w′_h = n′_h/n′), then a
-/// phase-2 subsample of n units — allocated Neyman-style against the
-/// model's prior per-phase deviations — is measured in detail. Unlike
-/// simprof_sample this never needs exact stratum populations, at the cost
-/// of the estimated-weight variance term in the SE. Point weights are
-/// w′_h/n_h and sum to 1.
-SamplePlan two_phase_sample(const ThreadProfile& profile,
-                            const PhaseModel& model, std::size_t n,
-                            std::uint64_t seed, double z = stats::kZ997);
 
 /// Smallest stratified sample size achieving z·SE ≤ rel_margin·μ (Figure 8).
 std::size_t required_sample_size(const PhaseModel& model, double rel_margin,

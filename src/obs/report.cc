@@ -554,8 +554,8 @@ bool quality_higher_is_better(std::string_view key, bool& known) {
     return true;
   }
   if (key == "sampling_error_frac" || key == "ci_rel_width" ||
-      key == "mav_sampling_error_frac" || key == "two_phase_ci_rel_width" ||
-      key == "cov_weighted" || key == "cov" ||
+      key == "mav_sampling_error_frac" || key == "cov_weighted" ||
+      key == "cov" ||
       key == "stream_batch_phase_delta" || key == "service_p50_ms" ||
       key == "service_p99_ms" || key == "loadgen_p50_ms" ||
       key == "loadgen_p99_ms") {

@@ -280,7 +280,14 @@ std::vector<SpanRollupRow> span_rollup() {
         have_lane = true;
       }
       while (!stack.empty() && stack.back().end <= ev.ts) pop_frame();
-      if (!stack.empty()) stack.back().child_us += ev.dur;
+      // Credit the parent only with the part of the child that overlaps it:
+      // deferred virtual-clock charging can emit a child that runs past its
+      // parent's end, and crediting its full duration drove the parent's
+      // self time negative.
+      if (!stack.empty()) {
+        stack.back().child_us +=
+            std::min(ev.ts + ev.dur, stack.back().end) - ev.ts;
+      }
       const bool virt = ev.pid == kVirtualPid;
       SpanRollupRow& row = rows[{virt, *ev.name}];
       if (row.count == 0) {

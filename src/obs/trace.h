@@ -94,13 +94,15 @@ struct SpanRollupRow {
   bool virtual_timeline = false;  ///< virtual-clock (µs are cycles/2000)
   std::uint64_t count = 0;
   double total_us = 0.0;  ///< inclusive time
-  double self_us = 0.0;   ///< total minus nested same-lane spans
+  double self_us = 0.0;   ///< total minus nested same-lane spans (≥ 0)
   double max_us = 0.0;    ///< longest single span
 };
 
 /// Aggregate the buffered complete ('X') events into a per-name profile:
 /// call counts, inclusive time and self time (inclusive minus the time of
-/// spans nested inside on the same lane), sorted by (timeline, name).
+/// spans nested inside on the same lane, each clipped to its overlap with
+/// the parent so a child that overruns it cannot make self time negative),
+/// sorted by (timeline, name).
 ///
 /// Determinism contract: spans instrument logical work items (a stage, a
 /// candidate k, a cache load), so the rollup's (name, count) sequence is

@@ -55,7 +55,6 @@ ClientTally run_client(const LoadgenConfig& cfg, std::size_t client_index) {
     q.stream = cfg.stream ? 1 : 0;
     q.stream_retain = cfg.stream_retain;
     q.features = cfg.features;
-    q.estimator = cfg.estimator;
     const auto payload = pack_message(MsgKind::kProfileRequest, id,
                                       [&](BinaryWriter& w) { q.write(w); });
     outstanding.emplace(id, Clock::now());

@@ -32,8 +32,6 @@ struct LoadgenConfig {
   std::uint64_t stream_retain = 0;
   /// features::FeatureMode ordinal for phase formation (protocol v2).
   std::uint8_t features = 0;
-  /// 0 = Neyman, 1 = two-phase stratified estimation (protocol v2).
-  std::uint8_t estimator = 0;
   /// Vary the seed per request (seed + request index) so the sweep exercises
   /// distinct oracle passes; false keeps every request on one cache key,
   /// the single-flight stress mode.

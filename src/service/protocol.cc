@@ -42,7 +42,6 @@ void ProfileRequest::write(BinaryWriter& w) const {
   w.u8(stream);
   w.u64(stream_retain);
   w.u8(features);
-  w.u8(estimator);
 }
 
 ProfileRequest ProfileRequest::read(BinaryReader& r) {
@@ -57,7 +56,6 @@ ProfileRequest ProfileRequest::read(BinaryReader& r) {
   q.stream = r.u8();
   q.stream_retain = r.u64();
   q.features = r.u8();
-  q.estimator = r.u8();
   return q;
 }
 
@@ -73,7 +71,6 @@ void ProfileResult::write(BinaryWriter& w) const {
   w.vec_f64(weights);
   w.str(profile_bytes);
   w.u8(features);
-  w.u8(estimator);
 }
 
 ProfileResult ProfileResult::read(BinaryReader& r) {
@@ -89,7 +86,6 @@ ProfileResult ProfileResult::read(BinaryReader& r) {
   v.weights = r.vec_f64();
   v.profile_bytes = r.str();
   v.features = r.u8();
-  v.estimator = r.u8();
   return v;
 }
 

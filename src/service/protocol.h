@@ -31,10 +31,13 @@
 namespace simprof::service {
 
 inline constexpr std::uint32_t kProtocolMagic = 0x43525053;  // "SPRC"
-/// v2: ProfileRequest carries the feature mode + estimator selectors (and
-/// ProfileResult echoes them), so a client can pin the analysis
-/// configuration per request.
-inline constexpr std::uint32_t kProtocolVersion = 2;
+/// v2: ProfileRequest carries the feature mode selector (and ProfileResult
+/// echoes it), so a client can pin the analysis configuration per request.
+/// v3: the estimator selector byte is gone from both, because every
+/// selection is Neyman-allocated stratified sampling (simprof_sample). The
+/// body layout changed, so a peer of any other version is refused at the
+/// header.
+inline constexpr std::uint32_t kProtocolVersion = 3;
 /// Frame payload cap — a profile blob for the largest lab run is well under
 /// this; anything bigger is a corrupt or hostile length prefix.
 inline constexpr std::uint64_t kMaxFrameBytes = 256ull << 20;
@@ -94,8 +97,6 @@ struct ProfileRequest {
   /// workload config still dedup into one lab run; only the analysis
   /// differs.
   std::uint8_t features = 0;
-  /// 0 = Neyman (simprof_sample), 1 = two-phase (two_phase_sample) (v2).
-  std::uint8_t estimator = 0;
 
   void write(BinaryWriter& w) const;
   static ProfileRequest read(BinaryReader& r);
@@ -112,8 +113,7 @@ struct ProfileResult {
   std::vector<std::uint64_t> selected_units;
   std::vector<double> weights;
   std::string profile_bytes;  ///< ThreadProfile::save blob (when requested)
-  std::uint8_t features = 0;   ///< echo of the request's feature mode (v2)
-  std::uint8_t estimator = 0;  ///< echo of the request's estimator (v2)
+  std::uint8_t features = 0;  ///< echo of the request's feature mode (v2)
 
   void write(BinaryWriter& w) const;
   static ProfileResult read(BinaryReader& r);

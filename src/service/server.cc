@@ -451,26 +451,15 @@ void ServiceServer::execute(QueuedRequest& req) {
 }
 
 void ServiceServer::run_profile(QueuedRequest& req, const ProfileRequest& q) {
-  // v2 analysis selectors. The lab cache key is mode-independent (profiles
-  // always carry the MAV blocks), so distinct feature modes over the same
-  // workload config still single-flight into one oracle pass — only the
-  // analysis below differs per request.
+  // Feature-mode selector (v2). The lab cache key is mode-independent
+  // (profiles always carry the MAV blocks), so distinct feature modes over
+  // the same workload config still single-flight into one oracle pass —
+  // only the analysis below differs per request.
   if (q.features > 2) {
     throw ContractViolation("profile request: unknown feature mode " +
                             std::to_string(q.features));
   }
-  if (q.estimator > 1) {
-    throw ContractViolation("profile request: unknown estimator " +
-                            std::to_string(q.estimator));
-  }
   const auto feature_mode = static_cast<features::FeatureMode>(q.features);
-  const bool two_phase = q.estimator == 1;
-  const auto stratified = [&](const core::ThreadProfile& p,
-                              const core::PhaseModel& m, std::size_t n,
-                              std::uint64_t seed) {
-    return two_phase ? core::two_phase_sample(p, m, n, seed)
-                     : core::simprof_sample(p, m, n, seed);
-  };
 
   core::WorkloadLab lab = make_lab(q.scale, q.seed);
   core::BatchItem item;
@@ -492,7 +481,6 @@ void ServiceServer::run_profile(QueuedRequest& req, const ProfileRequest& q) {
   }
 
   res.features = q.features;
-  res.estimator = q.estimator;
 
   if (q.analyze && profile.num_units() > 0) {
     core::PhaseFormationConfig fc;
@@ -520,7 +508,8 @@ void ServiceServer::run_profile(QueuedRequest& req, const ProfileRequest& q) {
         if (q.sample_n > 0 && f.units_retained() > 0) {
           const auto n = std::min<std::size_t>(
               static_cast<std::size_t>(q.sample_n), f.units_retained());
-          const auto plan = stratified(f.profile(), f.model(), n, q.seed);
+          const auto plan =
+              core::simprof_sample(f.profile(), f.model(), n, q.seed);
           u.estimated_cpi = plan.estimated_cpi;
           u.selected_units.reserve(plan.points.size());
           for (const auto& p : plan.points) {
@@ -543,7 +532,7 @@ void ServiceServer::run_profile(QueuedRequest& req, const ProfileRequest& q) {
     if (q.sample_n > 0 && sample_profile->num_units() > 0) {
       const auto n = std::min<std::size_t>(
           static_cast<std::size_t>(q.sample_n), sample_profile->num_units());
-      const auto plan = stratified(*sample_profile, model, n, q.seed);
+      const auto plan = core::simprof_sample(*sample_profile, model, n, q.seed);
       res.estimated_cpi = plan.estimated_cpi;
       res.standard_error = plan.standard_error;
       res.selected_units.reserve(plan.points.size());

@@ -12,7 +12,6 @@
 #include "stats/feature_select.h"
 #include "stats/matrix.h"
 #include "stats/silhouette.h"
-#include "stats/two_phase.h"
 #include "support/rng.h"
 
 namespace simprof::verify {
@@ -406,117 +405,6 @@ VerifyReport verify_statistics(const OracleConfig& cfg) {
                "worst relative error " + std::to_string(worst) + " at column " +
                    std::to_string(worst_col) + " over " + std::to_string(d) +
                    " columns");
-  }
-
-  // --- Two-phase estimator, closed form. Phase-1 counts {2, 2} (w′ = ½
-  // each), measured values {1, 3} and {5, 7}: ȳ_ds = ½·2 + ½·6 = 4,
-  // V̂ = [¼·2/2 + ¼·2/2] + ¼·[½·4 + ½·4] = 0.5 + 1.0 = 1.5, SE = √1.5.
-  {
-    std::vector<stats::TwoPhaseStratum> tp(2);
-    tp[0] = {2, 2, stats::mean(std::vector<double>{1.0, 3.0}),
-             stats::sample_stddev(std::vector<double>{1.0, 3.0})};
-    tp[1] = {2, 2, stats::mean(std::vector<double>{5.0, 7.0}),
-             stats::sample_stddev(std::vector<double>{5.0, 7.0})};
-    const auto est = stats::two_phase_estimate(tp, stats::kZ997);
-    const bool ok = std::abs(est.mean - 4.0) < 1e-12 &&
-                    std::abs(est.variance - 1.5) < 1e-12 &&
-                    std::abs(est.standard_error - std::sqrt(1.5)) < 1e-12 &&
-                    std::abs(est.ci.margin - 3.0 * std::sqrt(1.5)) < 1e-12;
-    std::ostringstream o;
-    o << "mean " << est.mean << " var " << est.variance << " se "
-      << est.standard_error;
-    report.add("oracle.two_phase_closed_form", ok, o.str());
-  }
-
-  // --- Two-phase allocation reuses the Eq. 1 machinery against phase-1
-  // counts: n′_h·σ_h of 100 and 300 split n = 40 exactly 1:3.
-  {
-    const std::size_t counts[] = {100, 100};
-    const double priors[] = {1.0, 3.0};
-    const auto a = stats::two_phase_allocation(counts, priors, 40, 1);
-    report.add("oracle.two_phase_allocation_closed_form",
-               a.size() == 2 && a[0] == 10 && a[1] == 30,
-               "expected {10, 30}");
-  }
-
-  // --- Two-phase degenerate conventions: zero-variance strata give an
-  // exactly zero-width CI at the stratified mean; a singleton measured
-  // stratum, NaN/∞ deviations and unmeasured strata all stay finite.
-  {
-    std::vector<stats::TwoPhaseStratum> flat(3);
-    for (std::size_t h = 0; h < 3; ++h) flat[h] = {10, 2, 1.5, 0.0};
-    const auto est = stats::two_phase_estimate(flat, stats::kZ997);
-    report.add("oracle.two_phase_zero_variance_zero_width",
-               est.mean == 1.5 && est.variance == 0.0 && est.ci.margin == 0.0);
-
-    std::vector<stats::TwoPhaseStratum> ugly(4);
-    ugly[0] = {5, 1, 1.2, 0.0};                            // singleton
-    ugly[1] = {7, 3, 0.9, std::nan("")};                   // NaN deviation
-    ugly[2] = {4, 2, std::numeric_limits<double>::infinity(), 2.0};  // ∞ mean
-    ugly[3] = {6, 0, 0.0, 0.0};                            // never measured
-    const auto e2 = stats::two_phase_estimate(ugly, stats::kZ997);
-    report.add("oracle.two_phase_degenerate_finite",
-               std::isfinite(e2.mean) && std::isfinite(e2.variance) &&
-                   e2.variance >= 0.0 && std::isfinite(e2.ci.margin));
-
-    const auto empty = stats::two_phase_estimate({}, stats::kZ997);
-    report.add("oracle.two_phase_empty_is_zero",
-               empty.mean == 0.0 && empty.standard_error == 0.0);
-  }
-
-  // --- Two-phase property sweep mirroring the Neyman one: random phase-1
-  // counts and measurements (including degenerate deviations) must always
-  // produce a finite estimate, a non-negative variance, and an allocation
-  // that sums to the documented floor-respecting total and never exceeds a
-  // stratum's phase-1 count.
-  {
-    std::size_t bad = 0;
-    std::string first;
-    for (std::size_t t = 0; t < cfg.property_trials; ++t) {
-      Rng rng = Rng::stream(cfg.seed, 0xD5A1 + t);
-      const std::size_t h = 1 + rng.next_below(6);
-      std::vector<std::size_t> counts(h);
-      std::vector<double> priors(h);
-      std::size_t pop_total = 0;
-      std::size_t non_empty = 0;
-      for (std::size_t i = 0; i < h; ++i) {
-        counts[i] = rng.next_below(64);  // 0 allowed
-        priors[i] = rng.next_double(0.0, 2.0);
-        if (rng.next_bool(0.1)) priors[i] = std::nan("");
-        pop_total += counts[i];
-        non_empty += counts[i] > 0 ? 1 : 0;
-      }
-      const std::size_t total = rng.next_below(pop_total + 8);
-      const auto a = stats::two_phase_allocation(counts, priors, total, 1);
-      const std::size_t expect =
-          std::max(std::min(total, pop_total), non_empty);
-      bool ok = a.size() == h && sum_of(a) == expect;
-      std::vector<stats::TwoPhaseStratum> tp(h);
-      for (std::size_t i = 0; ok && i < h; ++i) {
-        ok = a[i] <= counts[i];
-        tp[i].phase1_count = counts[i];
-        tp[i].sample_size = a[i];
-        tp[i].sample_mean = rng.next_double(0.5, 2.0);
-        tp[i].sample_stddev =
-            a[i] > 1 ? rng.next_double(0.0, 1.0) : 0.0;
-        if (rng.next_bool(0.05)) tp[i].sample_stddev = std::nan("");
-      }
-      const auto est = stats::two_phase_estimate(tp, stats::kZ997);
-      ok = ok && std::isfinite(est.mean) && std::isfinite(est.variance) &&
-           est.variance >= 0.0 && std::isfinite(est.ci.margin);
-      if (!ok && first.empty()) {
-        std::ostringstream o;
-        o << "trial " << t << " total " << total << " sum " << sum_of(a)
-          << " expect " << expect;
-        first = o.str();
-      }
-      bad += ok ? 0 : 1;
-      report.fingerprint = fnv1a(report.fingerprint, sum_of(a));
-      ++report.cases_run;
-    }
-    report.add("oracle.two_phase_properties", bad == 0,
-               bad == 0 ? std::to_string(cfg.property_trials) + " cases"
-                        : std::to_string(bad) + " violations; first: " + first);
   }
 
   for (const auto& c : report.checks) {

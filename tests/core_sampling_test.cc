@@ -265,8 +265,9 @@ TEST(SimProfSystematic, WithinPhasePicksAreSpread) {
   EXPECT_GT(hi, p.num_units() * 4 / 5);
 }
 
-// Property: across random two-phase profiles, the stratified estimator is
-// (a) unbiased in expectation and (b) lower-variance than SRS at equal n.
+// Property: across random profiles of two program phases, the stratified
+// estimator is (a) unbiased in expectation and (b) lower-variance than SRS
+// at equal n.
 class StratifiedVsSrs : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(StratifiedVsSrs, LowerErrorThanSrsAtEqualSampleSize) {

@@ -786,6 +786,30 @@ TEST(SpanRollupTest, SelfTimeCountsAndPoolExclusion) {
   EXPECT_DOUBLE_EQ(rows[1].self_us, 2.0);
 }
 
+TEST(SpanRollupTest, OverrunningChildIsClippedToItsParent) {
+  TraceGuard guard;
+  start_tracing();
+  // Deferred virtual-clock charging can start a child inside its parent and
+  // end it after the parent does. Only the 1 µs of overlap is the parent's
+  // nested time; crediting the child's full 4 µs would leave the parent's
+  // self time at 2 − 4 = −2 µs.
+  trace_virtual_span("write", 0, 4'000, 1);           // 2 µs parent
+  trace_virtual_span("write/spill", 2'000, 10'000, 1);  // 4 µs, overruns 3 µs
+  stop_tracing();
+
+  const auto rows = span_rollup();
+  ASSERT_EQ(rows.size(), 2u);
+  for (const auto& row : rows) {
+    EXPECT_GE(row.self_us, 0.0) << row.name;
+  }
+  EXPECT_EQ(rows[0].name, "write");
+  EXPECT_DOUBLE_EQ(rows[0].total_us, 2.0);  // inclusive time is unchanged
+  EXPECT_DOUBLE_EQ(rows[0].self_us, 1.0);   // 2 µs minus the 1 µs overlap
+  EXPECT_EQ(rows[1].name, "write/spill");
+  EXPECT_DOUBLE_EQ(rows[1].total_us, 4.0);
+  EXPECT_DOUBLE_EQ(rows[1].self_us, 4.0);
+}
+
 TEST(SpanRollupTest, NameCountIdenticalAcrossThreadCounts) {
   LogGuard log_guard;
   std::ostringstream sink;

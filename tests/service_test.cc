@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <sstream>
@@ -87,8 +88,7 @@ TEST(ServiceProtocol, ProfileMessagesRoundTrip) {
   q.want_profile_bytes = 1;
   q.stream = 1;
   q.stream_retain = 77;
-  q.features = 2;   // combined
-  q.estimator = 1;  // two-phase
+  q.features = 2;  // combined
   const ProfileRequest q2 = roundtrip(q);
   EXPECT_EQ(q2.workload, q.workload);
   EXPECT_EQ(q2.input, q.input);
@@ -100,7 +100,6 @@ TEST(ServiceProtocol, ProfileMessagesRoundTrip) {
   EXPECT_EQ(q2.stream, q.stream);
   EXPECT_EQ(q2.stream_retain, q.stream_retain);
   EXPECT_EQ(q2.features, q.features);
-  EXPECT_EQ(q2.estimator, q.estimator);
 
   ProfileResult res;
   res.from_cache = 1;
@@ -114,7 +113,6 @@ TEST(ServiceProtocol, ProfileMessagesRoundTrip) {
   res.weights = {0.5, 0.25, 0.25};
   res.profile_bytes = std::string("bin\0ary\x01\xff", 9);  // embedded NULs
   res.features = 1;
-  res.estimator = 1;
   const ProfileResult res2 = roundtrip(res);
   EXPECT_EQ(res2.units, res.units);
   EXPECT_EQ(res2.selected_units, res.selected_units);
@@ -122,7 +120,6 @@ TEST(ServiceProtocol, ProfileMessagesRoundTrip) {
   EXPECT_EQ(res2.profile_bytes, res.profile_bytes);
   EXPECT_EQ(res2.oracle_cpi, res.oracle_cpi);
   EXPECT_EQ(res2.features, res.features);
-  EXPECT_EQ(res2.estimator, res.estimator);
 
   StreamUpdate u;
   u.recluster = 4;
@@ -182,6 +179,16 @@ TEST(ServiceProtocol, HeaderValidatesMagicAndVersion) {
   std::istringstream bis(bad);
   BinaryReader br(bis);
   EXPECT_THROW(read_header(br), SerializeError);
+
+  // Any other version — including v2, whose ProfileRequest still carried
+  // the estimator byte — is refused at the header.
+  for (const std::uint32_t v : {kProtocolVersion - 1, kProtocolVersion + 1}) {
+    std::string old = ok;
+    for (int i = 0; i < 4; ++i) old[4 + i] = static_cast<char>(v >> (8 * i));
+    std::istringstream vis(old);
+    BinaryReader vr(vis);
+    EXPECT_THROW(read_header(vr), SerializeError) << "version " << v;
+  }
 }
 
 TEST(ServiceProtocol, StatusTaxonomy) {
@@ -401,22 +408,17 @@ TEST(ServiceServer, DistinctFeatureModesShareOraclePassNotAnalysis) {
 
   const std::uint64_t misses0 = counter_value("lab.cache_misses");
 
-  // Four requests over ONE workload configuration: every feature mode plus
-  // a two-phase-estimator variant. The oracle pass must dedup to a single
-  // run (the cache key is mode-independent), while each request gets its
-  // own analysis — distinct modes must NOT collapse into one result.
-  struct Case {
-    std::uint8_t features;
-    std::uint8_t estimator;
-  };
-  const Case cases[] = {{0, 0}, {1, 0}, {2, 0}, {2, 1}};
+  // Three requests over ONE workload configuration, one per feature mode.
+  // The oracle pass must dedup to a single run (the cache key is
+  // mode-independent), while each request gets its own analysis — distinct
+  // modes must NOT collapse into one result.
+  const std::uint8_t modes[] = {0, 1, 2};
   std::vector<ServiceClient::ProfileReply> replies;
-  for (const Case& c : cases) {
+  for (const std::uint8_t mode : modes) {
     ProfileRequest q;
     q.workload = "grep_sp";
     q.want_profile_bytes = 1;
-    q.features = c.features;
-    q.estimator = c.estimator;
+    q.features = mode;
     ServiceClient client(cfg.socket_path);
     replies.push_back(client.profile(q));
   }
@@ -434,28 +436,24 @@ TEST(ServiceServer, DistinctFeatureModesShareOraclePassNotAnalysis) {
 
   for (std::size_t i = 0; i < replies.size(); ++i) {
     ASSERT_EQ(replies[i].status, Status::kOk) << replies[i].message;
-    EXPECT_EQ(replies[i].result.features, cases[i].features);
-    EXPECT_EQ(replies[i].result.estimator, cases[i].estimator);
+    EXPECT_EQ(replies[i].result.features, modes[i]);
     // Same oracle pass → same profile bytes for every mode.
     EXPECT_EQ(replies[i].result.profile_bytes, replies[0].result.profile_bytes);
   }
   EXPECT_EQ(counter_value("lab.cache_misses") - misses0, 1u);
 
   // Each reply's analysis is bit-identical to the library run under its own
-  // mode/estimator — the proof that per-request analysis was not deduped.
+  // mode — the proof that per-request analysis was not deduped.
   std::istringstream is(replies[0].result.profile_bytes);
   const core::ThreadProfile profile = core::ThreadProfile::load(is);
   for (std::size_t i = 0; i < replies.size(); ++i) {
     core::PhaseFormationConfig fc;
-    fc.features = static_cast<features::FeatureMode>(cases[i].features);
+    fc.features = static_cast<features::FeatureMode>(modes[i]);
     fc.threads = 1;
     const core::PhaseModel model = core::form_phases(profile, fc);
     EXPECT_EQ(replies[i].result.phase_count, model.k) << "case " << i;
     const auto n = std::min<std::size_t>(8, profile.num_units());
-    const core::SamplePlan plan =
-        cases[i].estimator == 1
-            ? core::two_phase_sample(profile, model, n, 42)
-            : core::simprof_sample(profile, model, n, 42);
+    const core::SamplePlan plan = core::simprof_sample(profile, model, n, 42);
     EXPECT_EQ(replies[i].result.estimated_cpi, plan.estimated_cpi)
         << "case " << i;
     EXPECT_EQ(replies[i].result.standard_error, plan.standard_error)
@@ -577,6 +575,23 @@ TEST(ServiceServer, GracefulDrainFinishesInFlightAndRejectsNew) {
   EXPECT_EQ(server.stats().completed, 1u);
   EXPECT_EQ(server.stats().rejected_shutdown, 1u);
   // The socket file is gone after wait() — a restart can bind cleanly.
+  EXPECT_FALSE(std::filesystem::exists(cfg.socket_path));
+}
+
+TEST(ServiceServer, StopRequestedBeforeStartDrainsPromptly) {
+  // A drain requested before start() — a SIGTERM landing between the
+  // daemon's bind and its first accept — must make start() + wait() return
+  // at once (no hang, no thread left behind) and remove the socket.
+  ScratchDir dir;
+  ServiceConfig cfg = small_service(dir);
+  ServiceServer server(cfg);
+  server.request_stop();
+  const auto t0 = std::chrono::steady_clock::now();
+  server.start();
+  server.wait();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  EXPECT_TRUE(server.stopping());
+  EXPECT_EQ(server.stats().completed, 0u);
   EXPECT_FALSE(std::filesystem::exists(cfg.socket_path));
 }
 

@@ -9,7 +9,6 @@
 #include <numeric>
 
 #include "stats/stratified.h"
-#include "stats/two_phase.h"
 #include "support/assert.h"
 #include "support/rng.h"
 
@@ -246,131 +245,6 @@ TEST_P(AllocationProperty, NeymanNoWorseThanProportional) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AllocationProperty,
                          ::testing::Range<std::uint64_t>(100, 112));
-
-TEST(TwoPhaseEstimate, MatchesHandComputedTwoStrata) {
-  // Phase 1 classifies 4 units evenly (w′ = 0.5 each); phase 2 measures
-  // {1,3} and {5,7}: ȳ_h = 2, 6 with s_h² = 2 each.
-  //   ȳ_ds = 0.5·2 + 0.5·6 = 4
-  //   V̂ = (0.25·2/2 + 0.25·2/2) + (1/4)(0.5·4 + 0.5·4) = 0.5 + 1.0 = 1.5
-  std::vector<TwoPhaseStratum> strata{{2, 2, 2.0, std::sqrt(2.0)},
-                                      {2, 2, 6.0, std::sqrt(2.0)}};
-  const auto est = two_phase_estimate(strata, kZ997);
-  EXPECT_DOUBLE_EQ(est.mean, 4.0);
-  EXPECT_NEAR(est.variance, 1.5, 1e-12);
-  EXPECT_NEAR(est.standard_error, std::sqrt(1.5), 1e-12);
-  EXPECT_NEAR(est.ci.margin, kZ997 * std::sqrt(1.5), 1e-12);
-  EXPECT_DOUBLE_EQ(est.ci.mean, 4.0);
-}
-
-TEST(TwoPhaseEstimate, KnownWeightsReduceToStratifiedMean) {
-  // With zero weight noise possible only in the n′→∞ limit, the point
-  // estimate still always equals the w′-weighted stratum means.
-  std::vector<TwoPhaseStratum> strata{{30, 3, 1.0, 0.1},
-                                      {10, 3, 2.0, 0.1}};
-  const auto est = two_phase_estimate(strata, kZ997);
-  EXPECT_DOUBLE_EQ(est.mean, 0.75 * 1.0 + 0.25 * 2.0);
-}
-
-TEST(TwoPhaseEstimate, DegenerateStrataSkippedAndRenormalized) {
-  // Stratum 1 was never measured, stratum 2 never even classified; both are
-  // skipped and the surviving weights renormalized, so the estimate is the
-  // measured stratum's mean with a finite CI.
-  std::vector<TwoPhaseStratum> strata{{8, 2, 1.5, 0.5},
-                                      {4, 0, 0.0, 0.0},
-                                      {0, 0, 0.0, 0.0}};
-  const auto est = two_phase_estimate(strata, kZ997);
-  EXPECT_DOUBLE_EQ(est.mean, 1.5);
-  EXPECT_TRUE(std::isfinite(est.standard_error));
-  EXPECT_TRUE(std::isfinite(est.ci.low()));
-  EXPECT_TRUE(std::isfinite(est.ci.high()));
-}
-
-TEST(TwoPhaseEstimate, NothingMeasuredIsAllZero) {
-  const auto est = two_phase_estimate({}, kZ997);
-  EXPECT_EQ(est.mean, 0.0);
-  EXPECT_EQ(est.variance, 0.0);
-  EXPECT_EQ(est.standard_error, 0.0);
-  const auto unmeasured =
-      two_phase_estimate(std::vector<TwoPhaseStratum>{{5, 0, 0.0, 0.0}},
-                         kZ997);
-  EXPECT_EQ(unmeasured.mean, 0.0);
-  EXPECT_EQ(unmeasured.variance, 0.0);
-}
-
-TEST(TwoPhaseEstimate, SingletonAndNonFiniteStddevContributeNothing) {
-  // s_h = 0 for singleton measured strata and non-finite s_h treated as 0:
-  // only the weight-noise term remains.
-  std::vector<TwoPhaseStratum> strata{
-      {2, 1, 1.0, 0.0},
-      {2, 1, 3.0, std::numeric_limits<double>::quiet_NaN()}};
-  const auto est = two_phase_estimate(strata, kZ997);
-  EXPECT_DOUBLE_EQ(est.mean, 2.0);
-  // Within-stratum term is 0; weight noise = (1/4)(0.5·1 + 0.5·1) = 0.25.
-  EXPECT_NEAR(est.variance, 0.25, 1e-12);
-}
-
-TEST(TwoPhaseAllocation, NeymanStyleAgainstPhase1Counts) {
-  // n′_h·σ_h products 100·1 : 100·3 → 1:3 split of 40, same closed form as
-  // optimal_allocation with populations swapped for phase-1 counts.
-  const std::vector<std::size_t> counts{100, 100};
-  const std::vector<double> priors{1.0, 3.0};
-  const auto a = two_phase_allocation(counts, priors, 40, 1);
-  ASSERT_EQ(a.size(), 2u);
-  EXPECT_EQ(a[0], 10u);
-  EXPECT_EQ(a[1], 30u);
-}
-
-TEST(TwoPhaseAllocation, CapsAtPhase1CountAndFloorsNonEmpty) {
-  const std::vector<std::size_t> counts{3, 200, 0};
-  const std::vector<double> priors{5.0, 0.1, 1.0};
-  const auto a = two_phase_allocation(counts, priors, 50, 1);
-  ASSERT_EQ(a.size(), 3u);
-  EXPECT_LE(a[0], 3u);          // cannot measure more than phase 1 saw
-  EXPECT_GE(a[1], 1u);          // non-empty strata keep the floor
-  EXPECT_EQ(a[2], 0u);          // empty strata get nothing
-  EXPECT_EQ(total(a), 50u);
-}
-
-// Property sweep: the two-phase variance dominates the known-weights
-// stratified variance (the weight-noise term is non-negative), and shrinks
-// as the phase-1 sample grows.
-class TwoPhaseProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(TwoPhaseProperty, WeightNoiseNonNegativeAndShrinksWithPhase1) {
-  Rng rng(GetParam());
-  const std::size_t h = 2 + rng.next_below(5);
-  std::vector<TwoPhaseStratum> small, big;
-  for (std::size_t i = 0; i < h; ++i) {
-    TwoPhaseStratum s;
-    s.phase1_count = 5 + rng.next_below(40);
-    s.sample_size = 2 + rng.next_below(3);
-    s.sample_mean = rng.next_double(0.5, 3.0);
-    s.sample_stddev = rng.next_double(0.0, 1.0);
-    small.push_back(s);
-    s.phase1_count *= 100;  // same shares, far larger phase-1 sample
-    big.push_back(s);
-  }
-  const auto est_small = two_phase_estimate(small, kZ997);
-  const auto est_big = two_phase_estimate(big, kZ997);
-  // Identical weights → identical point estimates.
-  EXPECT_DOUBLE_EQ(est_small.mean, est_big.mean);
-  // Weight-noise term scales as 1/n′, so the bigger phase 1 can't be worse.
-  EXPECT_LE(est_big.variance, est_small.variance + 1e-12);
-  // And the two-phase variance is at least the within-stratum part alone.
-  double within = 0.0;
-  std::size_t nprime = 0;
-  for (const auto& s : small) nprime += s.phase1_count;
-  for (const auto& s : small) {
-    const double w = static_cast<double>(s.phase1_count) /
-                     static_cast<double>(nprime);
-    within += w * w * s.sample_stddev * s.sample_stddev /
-              static_cast<double>(s.sample_size);
-  }
-  EXPECT_GE(est_small.variance + 1e-12, within);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, TwoPhaseProperty,
-                         ::testing::Range<std::uint64_t>(500, 512));
 
 }  // namespace
 }  // namespace simprof::stats

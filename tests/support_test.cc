@@ -1,16 +1,26 @@
 // Unit tests for the support layer: contracts, deterministic RNG, Zipf
-// sampling, string interning, binary serialization and table formatting.
+// sampling, string interning, binary serialization, table formatting and
+// the single-flight memo map.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <type_traits>
+#include <vector>
 
+#include "obs/metrics.h"
 #include "support/assert.h"
 #include "support/interner.h"
 #include "support/rng.h"
 #include "support/serialize.h"
+#include "support/single_flight.h"
 #include "support/table.h"
 #include "support/zipf.h"
 
@@ -263,6 +273,87 @@ TEST(Table, AlignedAndCsvOutput) {
 TEST(Table, RowArityMismatchThrows) {
   Table t({"a", "b"});
   EXPECT_THROW(t.row({"only one"}), ContractViolation);
+}
+
+/// Sleep until `c` reaches `target`, giving up after ~10 s so a broken map
+/// fails the assertions that follow instead of hanging the suite.
+void wait_for_count(const obs::Counter& c, std::uint64_t target) {
+  for (int i = 0; i < 10000 && c.value() < target; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+constexpr int kFlightCallers = 6;
+
+TEST(SingleFlight, ConcurrentCallersShareOneComputationAndPointer) {
+  obs::Counter& joined = obs::metrics().counter("test.single_flight_joined");
+  obs::Counter& computed =
+      obs::metrics().counter("test.single_flight_computed");
+  const std::uint64_t joined0 = joined.value();
+  const std::uint64_t computed0 = computed.value();
+  support::SingleFlight<int, std::string> flights(joined, computed);
+
+  std::vector<std::shared_ptr<const std::string>> got(kFlightCallers);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kFlightCallers; ++i) {
+    threads.emplace_back([&, i] {
+      got[i] = flights.get(7, [&] {
+        // Hold the flight open until every other caller has joined it.
+        wait_for_count(joined, joined0 + kFlightCallers - 1);
+        return std::string("corpus");
+      });
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(computed.value() - computed0, 1u);
+  EXPECT_EQ(joined.value() - joined0, kFlightCallers - 1u);
+  for (const auto& p : got) {
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p, got[0]);
+  }
+  EXPECT_EQ(*got[0], "corpus");
+
+  // A finished flight is a memo hit; another key is its own computation.
+  EXPECT_EQ(flights.get(7, [] { return std::string("other"); }), got[0]);
+  EXPECT_EQ(*flights.get(8, [] { return std::string("graph"); }), "graph");
+  EXPECT_EQ(computed.value() - computed0, 2u);
+}
+
+TEST(SingleFlight, FailureReachesEveryWaiterThenAllowsRetry) {
+  obs::Counter& joined =
+      obs::metrics().counter("test.single_flight_fail_joined");
+  obs::Counter& computed =
+      obs::metrics().counter("test.single_flight_fail_computed");
+  const std::uint64_t joined0 = joined.value();
+  const std::uint64_t computed0 = computed.value();
+  support::SingleFlight<int, int> flights(joined, computed);
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kFlightCallers; ++i) {
+    threads.emplace_back([&] {
+      try {
+        flights.get(1, [&]() -> int {
+          wait_for_count(joined, joined0 + kFlightCallers - 1);
+          throw std::runtime_error("synthesis failed");
+        });
+      } catch (const std::runtime_error&) {
+        failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), kFlightCallers);
+  EXPECT_EQ(computed.value() - computed0, 1u);
+
+  // The failed flight was forgotten: a retry recomputes and is memoized.
+  const auto retried = flights.get(1, [] { return 42; });
+  ASSERT_NE(retried, nullptr);
+  EXPECT_EQ(*retried, 42);
+  EXPECT_EQ(computed.value() - computed0, 2u);
+  EXPECT_EQ(flights.get(1, [] { return 0; }), retried);
+  EXPECT_EQ(computed.value() - computed0, 2u);
 }
 
 }  // namespace

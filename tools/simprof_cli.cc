@@ -9,7 +9,7 @@
 //   simprof size    <profile.sprf> [--error 0.05] [--confidence 99.7]
 //   simprof sensitivity <workload> [--train NAME] [--scale S]
 //   simprof measure <workload> [--input NAME] [--scale S] [--seed N]
-//                   [--units LIST | -n N]
+//                   [--units LIST | -n N [--stratified]]
 //   simprof verify  [--cases N] [--seed N] [--resamples N] [--skip-lab]
 //   simprof report  <base.json> <new.json> | <manifest-dir>
 //   simprof serve   --socket PATH [--tickets-max N] [--fixed] ...
@@ -142,10 +142,7 @@ const std::vector<CommandSpec> kCommands = {
        "streaming retention cap in units, 0 = retain all (default 0)"},
       {"features", "MODE",
        "feature space for --stream phase formation: freq|mav|combined "
-       "(default freq)"},
-      {"estimator", "E",
-       "stratified estimator for --stream interim selections: "
-       "neyman|two-phase (default neyman)"}}},
+       "(default freq)"}}},
     {"phases",
      "<profile.sprf>",
      "form phases from a saved profile and print the phase table",
@@ -161,10 +158,7 @@ const std::vector<CommandSpec> kCommands = {
       {"seed", "N", "sampling seed (default 1)"},
       {"features", "MODE",
        "feature space for phase formation: freq|mav|combined "
-       "(default freq)"},
-      {"estimator", "E",
-       "stratified estimator for the simprof technique: neyman|two-phase "
-       "(default neyman)"}}},
+       "(default freq)"}}},
     {"size",
      "<profile.sprf>",
      "required sample size for a target error bound",
@@ -181,10 +175,7 @@ const std::vector<CommandSpec> kCommands = {
       {"seed", "N", "simulation seed (default 42)"},
       {"features", "MODE",
        "feature space for phase formation: freq|mav|combined "
-       "(default freq)"},
-      {"estimator", "E",
-       "stratified estimator for the point-budget sample: neyman|two-phase "
-       "(default neyman)"}}},
+       "(default freq)"}}},
     {"measure",
      "<workload>",
      "measure selected sampling units via checkpoint restore + "
@@ -196,11 +187,11 @@ const std::vector<CommandSpec> kCommands = {
       {"n", "N", "SMARTS systematic selection size (default 10)"},
       {"sample-seed", "N", "selection seed for -n (default 1)"},
       {"features", "MODE",
-       "feature space for --estimator selection: freq|mav|combined "
+       "feature space for --stratified selection: freq|mav|combined "
        "(default freq)"},
-      {"estimator", "E",
-       "select units with a stratified plan instead of SMARTS and report "
-       "its weighted CPI estimate: neyman|two-phase"}}},
+      {"stratified", "",
+       "select units with a Neyman-allocated stratified plan instead of "
+       "SMARTS and report its weighted CPI estimate"}}},
     {"verify",
      "",
      "fault-injection + oracle verification of the archive/cache and "
@@ -255,9 +246,6 @@ const std::vector<CommandSpec> kCommands = {
       {"features", "MODE",
        "feature space for daemon-side analysis: freq|mav|combined "
        "(default freq)"},
-      {"estimator", "E",
-       "stratified estimator for daemon-side selections: neyman|two-phase "
-       "(default neyman)"},
       {"json", "FILE", "write the loadgen report as JSON"}}},
     {"report",
      "<base.json> <new.json> | <manifest-dir>",
@@ -418,55 +406,21 @@ bool parse_features_arg(const Args& args, features::FeatureMode& mode) {
   return false;
 }
 
-enum class EstimatorKind { kNeyman, kTwoPhase };
-
-/// Parse --estimator (default neyman). Returns false after a diagnostic on
-/// an unknown name.
-bool parse_estimator_arg(const Args& args, EstimatorKind& est) {
-  const std::string s = args.opt("estimator", "neyman");
-  if (s == "neyman") {
-    est = EstimatorKind::kNeyman;
-    return true;
-  }
-  if (s == "two-phase" || s == "two_phase") {
-    est = EstimatorKind::kTwoPhase;
-    return true;
-  }
-  std::cerr << "error: --estimator must be neyman|two-phase (got '" << s
-            << "')\n";
-  return false;
-}
-
-/// The stratified plan under the chosen estimator: classic Neyman-allocated
-/// SimProf or double sampling for stratification.
-core::SamplePlan stratified_plan(const core::ThreadProfile& profile,
-                                 const core::PhaseModel& model, std::size_t n,
-                                 std::uint64_t seed, EstimatorKind est) {
-  return est == EstimatorKind::kTwoPhase
-             ? core::two_phase_sample(profile, model, n, seed)
-             : core::simprof_sample(profile, model, n, seed);
-}
-
-/// Publish the estimator-grid quality figures for a stratified plan: the
-/// generic figures always, plus the mode/estimator-specific names the
-/// report gate tracks (lower is better for all of them).
+/// Publish the quality figures for a stratified plan: the generic figures
+/// always, plus the MAV-mode name the report gate tracks (lower is better
+/// for all of them).
 void set_plan_quality(const core::SamplePlan& plan,
                       const core::ThreadProfile& profile,
-                      features::FeatureMode mode, EstimatorKind est) {
+                      features::FeatureMode mode) {
   obs::ledger().set_quality("sampling_error_frac",
                             core::relative_error(plan, profile));
-  const bool has_ci = plan.estimated_cpi > 0.0 && plan.ci.margin > 0.0;
-  if (has_ci) {
+  if (plan.estimated_cpi > 0.0 && plan.ci.margin > 0.0) {
     obs::ledger().set_quality("ci_rel_width",
                               plan.ci.margin / plan.estimated_cpi);
   }
   if (mode != features::FeatureMode::kFreq) {
     obs::ledger().set_quality("mav_sampling_error_frac",
                               core::relative_error(plan, profile));
-  }
-  if (est == EstimatorKind::kTwoPhase && has_ci) {
-    obs::ledger().set_quality("two_phase_ci_rel_width",
-                              plan.ci.margin / plan.estimated_cpi);
   }
 }
 
@@ -517,10 +471,7 @@ int cmd_profile(const Args& args) {
   cfg.use_cache = false;
   if (!apply_checkpoint_flags(args, cfg)) return 2;
   features::FeatureMode mode = features::FeatureMode::kFreq;
-  EstimatorKind est = EstimatorKind::kNeyman;
-  if (!parse_features_arg(args, mode) || !parse_estimator_arg(args, est)) {
-    return 2;
-  }
+  if (!parse_features_arg(args, mode)) return 2;
   core::WorkloadLab lab(cfg);
   const std::string input = args.opt("input", "Google");
   obs::ledger().set_config("workload", workload);
@@ -554,8 +505,8 @@ int cmd_profile(const Args& args) {
     core::StreamingPhaseFormer former(scfg);
     former.set_update_hook([&](const core::StreamingPhaseFormer& f) {
       const std::size_t n = std::min<std::size_t>(16, f.units_retained());
-      const auto plan = stratified_plan(f.profile(), f.model(), n, cfg.seed,
-                                        est);
+      const auto plan =
+          core::simprof_sample(f.profile(), f.model(), n, cfg.seed);
       std::cout << "stream: recluster " << f.reclusters() << " @ "
                 << f.units_ingested() << " units -> k=" << f.model().k
                 << ", interim selection " << plan.sample_size()
@@ -575,8 +526,6 @@ int cmd_profile(const Args& args) {
         streamed.k > batch.k ? streamed.k - batch.k : batch.k - streamed.k);
     obs::ledger().set_config("stream", "1");
     obs::ledger().set_config("features", std::string(features::to_string(mode)));
-    obs::ledger().set_config(
-        "estimator", est == EstimatorKind::kTwoPhase ? "two-phase" : "neyman");
     obs::ledger().set_quality("stream_phase_count",
                               static_cast<double>(streamed.k));
     if (streamed.k >= 1 && streamed.k <= streamed.silhouette_scores.size()) {
@@ -644,10 +593,7 @@ int cmd_sample(const Args& args) {
   const auto seed = std::stoull(args.opt("seed", "1"));
   const std::string tech = args.opt("technique", "simprof");
   features::FeatureMode mode = features::FeatureMode::kFreq;
-  EstimatorKind est = EstimatorKind::kNeyman;
-  if (!parse_features_arg(args, mode) || !parse_estimator_arg(args, est)) {
-    return 2;
-  }
+  if (!parse_features_arg(args, mode)) return 2;
 
   core::SamplePlan plan;
   if (tech == "srs") {
@@ -665,7 +611,7 @@ int cmd_sample(const Args& args) {
     plan = tech == "code"
                ? core::code_sample(profile, model)
                : (tech == "simprof"
-                      ? stratified_plan(profile, model, n, seed, est)
+                      ? core::simprof_sample(profile, model, n, seed)
                       : core::simprof_systematic_sample(profile, model, n,
                                                         seed));
   } else {
@@ -680,9 +626,7 @@ int cmd_sample(const Args& args) {
   obs::ledger().set_config("n", args.opt("n", "20"));
   obs::ledger().set_config("seed", args.opt("seed", "1"));
   obs::ledger().set_config("features", std::string(features::to_string(mode)));
-  obs::ledger().set_config(
-      "estimator", est == EstimatorKind::kTwoPhase ? "two-phase" : "neyman");
-  set_plan_quality(plan, profile, mode, est);
+  set_plan_quality(plan, profile, mode);
   std::cout << to_string(plan.technique) << " selected "
             << plan.sample_size() << " simulation points\n";
   std::cout << "estimate " << Table::num(plan.estimated_cpi, 4) << " vs oracle "
@@ -730,10 +674,7 @@ int cmd_sensitivity(const Args& args) {
   cfg.seed = std::stoull(args.opt("seed", "42"));
   if (!apply_checkpoint_flags(args, cfg)) return 2;
   features::FeatureMode mode = features::FeatureMode::kFreq;
-  EstimatorKind est = EstimatorKind::kNeyman;
-  if (!parse_features_arg(args, mode) || !parse_estimator_arg(args, est)) {
-    return 2;
-  }
+  if (!parse_features_arg(args, mode)) return 2;
   core::WorkloadLab lab(cfg);
   const std::string train_name = args.opt("train", "Google");
   // One batch covers the training input and every reference: cache misses
@@ -763,13 +704,11 @@ int cmd_sensitivity(const Args& args) {
   obs::ledger().set_config("workload", workload);
   obs::ledger().set_config("train", train_name);
   obs::ledger().set_config("features", std::string(features::to_string(mode)));
-  obs::ledger().set_config(
-      "estimator", est == EstimatorKind::kTwoPhase ? "two-phase" : "neyman");
   obs::ledger().set_quality("phase_count", static_cast<double>(model.k));
   obs::ledger().set_quality("sensitive_phases",
                             static_cast<double>(report.num_sensitive()));
-  const auto budget_plan = stratified_plan(train.profile, model, 20, 1, est);
-  set_plan_quality(budget_plan, train.profile, mode, est);
+  const auto budget_plan = core::simprof_sample(train.profile, model, 20, 1);
+  set_plan_quality(budget_plan, train.profile, mode);
   std::cout << report.num_sensitive() << "/" << model.k
             << " phases input-sensitive; simulation points needed per "
                "reference input: "
@@ -791,14 +730,12 @@ int cmd_measure(const Args& args) {
   // records the checkpoint archives the fast path restores from.
   auto run = lab.run(workload, input);
 
-  // --estimator switches the selection from SMARTS-systematic to a
-  // stratified plan over the formed phases (in the chosen feature space);
-  // the measured units then feed that plan's weighted CPI estimate.
+  // --stratified switches the selection from SMARTS-systematic to a
+  // Neyman-allocated plan over the formed phases (in the chosen feature
+  // space); the measured units then feed that plan's weighted CPI estimate.
   features::FeatureMode mode = features::FeatureMode::kFreq;
   if (!parse_features_arg(args, mode)) return 2;
-  EstimatorKind est = EstimatorKind::kNeyman;
-  const bool stratified = args.has("estimator");
-  if (stratified && !parse_estimator_arg(args, est)) return 2;
+  const bool stratified = args.has("stratified");
   core::SamplePlan plan;
 
   std::vector<std::uint64_t> units;
@@ -825,7 +762,7 @@ int cmd_measure(const Args& args) {
       core::PhaseFormationConfig pcfg;
       pcfg.features = mode;
       const auto model = core::form_phases(run.profile, pcfg);
-      plan = stratified_plan(run.profile, model, n, sample_seed, est);
+      plan = core::simprof_sample(run.profile, model, n, sample_seed);
     } else {
       plan = core::smarts_sample(run.profile, n, sample_seed);
     }
@@ -841,9 +778,6 @@ int cmd_measure(const Args& args) {
   if (stratified) {
     obs::ledger().set_config("features",
                              std::string(features::to_string(mode)));
-    obs::ledger().set_config(
-        "estimator",
-        est == EstimatorKind::kTwoPhase ? "two-phase" : "neyman");
   }
   obs::ledger().set_quality("units_measured",
                             static_cast<double>(m.records.size()));
@@ -881,11 +815,6 @@ int cmd_measure(const Args& args) {
       obs::ledger().set_quality("sampling_error_frac", err);
       if (mode != features::FeatureMode::kFreq) {
         obs::ledger().set_quality("mav_sampling_error_frac", err);
-      }
-      if (est == EstimatorKind::kTwoPhase && plan.estimated_cpi > 0.0 &&
-          plan.ci.margin > 0.0) {
-        obs::ledger().set_quality("two_phase_ci_rel_width",
-                                  plan.ci.margin / plan.estimated_cpi);
       }
       std::cout << "stratified estimate " << Table::num(estimate, 4)
                 << " vs oracle " << Table::num(oracle, 4) << " (error "
@@ -1185,8 +1114,16 @@ int cmd_serve(const Args& args) {
                            cfg.fixed_concurrency ? "fixed" : "probing");
 
   service::ServiceServer server(cfg);
-  server.start();
+  // Published before start() so a signal landing between the bind and the
+  // first accept still drains: a stop requested before start() makes the
+  // listener and workers exit at once and wait() return.
   g_serve_instance.store(&server, std::memory_order_release);
+  try {
+    server.start();
+  } catch (...) {
+    g_serve_instance.store(nullptr, std::memory_order_release);
+    throw;
+  }
   std::cout << "serving on " << cfg.socket_path
             << " (tickets " << cfg.admission.min_concurrency << ".."
             << cfg.admission.max_concurrency << ", "
@@ -1245,12 +1182,8 @@ int cmd_loadgen(const Args& args) {
   cfg.stream = args.has("stream");
   cfg.vary_seed = args.has("vary-seed");
   features::FeatureMode mode = features::FeatureMode::kFreq;
-  EstimatorKind est = EstimatorKind::kNeyman;
-  if (!parse_features_arg(args, mode) || !parse_estimator_arg(args, est)) {
-    return 2;
-  }
+  if (!parse_features_arg(args, mode)) return 2;
   cfg.features = static_cast<std::uint8_t>(mode);
-  cfg.estimator = est == EstimatorKind::kTwoPhase ? 1 : 0;
 
   const service::LoadgenReport report = service::run_loadgen(cfg);
 
@@ -1328,12 +1261,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Signals are blocked before any thread exists — including the
+  // --heartbeat thread obs_flags.apply() starts — so every thread inherits
+  // the mask, and handled by a dedicated watcher: graceful daemon drain on
+  // the first SIGINT/SIGTERM, flush-then-exit(128+sig) otherwise.
+  block_termination_signals();
   ObsFlags obs_flags;
   if (!obs_flags.apply(args, cmd->name, argc, argv)) return 2;
-  // Signals are blocked before any thread exists (so workers inherit the
-  // mask) and handled by a dedicated watcher: graceful daemon drain on the
-  // first SIGINT/SIGTERM, flush-then-exit(128+sig) otherwise.
-  block_termination_signals();
   start_signal_watcher(&obs_flags);
   int rc = 2;
   try {
