@@ -11,6 +11,7 @@
 #include "core/sampling.h"
 #include "core/sensitivity.h"
 #include "data/kronecker.h"
+#include "data/text.h"
 #include "exec/cluster.h"
 #include "hw/access_stream.h"
 #include "hw/memory_system.h"
@@ -18,6 +19,7 @@
 #include "stats/kmeans.h"
 #include "stats/silhouette.h"
 #include "support/rng.h"
+#include "support/zipf.h"
 
 namespace {
 
@@ -177,6 +179,67 @@ void BM_KroneckerGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_KroneckerGeneration)->Arg(12)->Arg(16)
     ->Unit(benchmark::kMillisecond);
+
+// Input synthesis, layer by layer: one Zipf draw, a whole text corpus, and
+// the CSR build alone over a pre-generated Kronecker edge list.
+void BM_ZipfSample(benchmark::State& state) {
+  const ZipfSampler zipf(std::size_t{1} << 18, 1.0);
+  Rng rng(8);
+  for (auto _ : state) benchmark::DoNotOptimize(zipf.sample(rng));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ZipfSample);
+
+void BM_TextSynthesize(benchmark::State& state) {
+  data::TextConfig cfg;  // arg 0: plain corpus; arg 1: 4-class labeled
+  cfg.num_words = 1 << 20;
+  cfg.vocabulary = 1 << 18;
+  cfg.zipf_skew = 1.0;
+  cfg.mean_doc_words = 160;
+  if (state.range(0) != 0) {
+    cfg.num_classes = 4;
+    cfg.vocabulary /= 2;
+  }
+  for (auto _ : state) {
+    auto corpus = data::TextCorpus::synthesize(cfg);
+    benchmark::DoNotOptimize(corpus.total_bytes());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(cfg.num_words));
+}
+BENCHMARK(BM_TextSynthesize)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_GraphFromEdges(benchmark::State& state) {
+  // A raw scale-16 R-MAT edge list with the default web-like initiator
+  // (a, b, c, d) = (.57, .19, .19, .05): unsorted, with duplicates and
+  // self-loops, as kronecker_graph hands it over. The per-iteration copy
+  // of the list is outside the timed region.
+  constexpr std::uint32_t kScale = 16;
+  Rng rng(11);
+  std::vector<data::Edge> edges(std::size_t{16} << kScale);
+  for (data::Edge& e : edges) {
+    for (std::uint32_t level = 0; level < kScale; ++level) {
+      const double u = rng.next_double();
+      const auto quad = static_cast<data::VertexId>(u >= 0.57) +
+                        static_cast<data::VertexId>(u >= 0.76) +
+                        static_cast<data::VertexId>(u >= 0.95);
+      e.src = (e.src << 1) | (quad >> 1);
+      e.dst = (e.dst << 1) | (quad & 1);
+    }
+  }
+  const bool symmetrize = state.range(0) != 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto copy = edges;
+    state.ResumeTiming();
+    auto g = data::Graph::from_edges(data::VertexId{1} << kScale,
+                                     std::move(copy), symmetrize);
+    benchmark::DoNotOptimize(g.num_edges());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(edges.size()));
+}
+BENCHMARK(BM_GraphFromEdges)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Profiling overhead: executor work with and without the SimProf hook
 // attached. The paper tunes the snapshot interval so this gap is negligible.

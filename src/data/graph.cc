@@ -3,37 +3,58 @@
 #include <algorithm>
 #include <numeric>
 
+#include "obs/trace.h"
 #include "support/assert.h"
 
 namespace simprof::data {
 
 Graph Graph::from_edges(VertexId num_vertices, std::vector<Edge> edges,
                         bool symmetrize) {
-  if (symmetrize) {
-    const std::size_t n = edges.size();
-    edges.reserve(n * 2);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (edges[i].src != edges[i].dst) {
-        edges.push_back(Edge{edges[i].dst, edges[i].src});
-      }
-    }
-  }
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-  });
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
+  obs::ObsSpan span("data.csr_build");
+  const std::size_t n = num_vertices;
   Graph g;
-  g.offsets_.assign(static_cast<std::size_t>(num_vertices) + 1, 0);
-  g.neighbors_.reserve(edges.size());
+  auto& offsets = g.offsets_;
+  auto& neighbors = g.neighbors_;
+
+  // Counting sort. Row v's out-degree is counted into offsets[v + 2], so
+  // after the prefix sum offsets[v + 1] is where row v starts; scattering
+  // bumps it to where row v ends, which is where row v + 1 starts. That
+  // leaves offsets[0..n] as the CSR offsets with no separate cursor array.
+  // Each endpoint is range-checked before anything is indexed by it.
+  offsets.assign(n + 2, 0);
   for (const Edge& e : edges) {
     SIMPROF_EXPECTS(e.src < num_vertices && e.dst < num_vertices,
                     "edge endpoint out of range");
-    ++g.offsets_[e.src + 1];
-    g.neighbors_.push_back(e.dst);
+    ++offsets[std::size_t{e.src} + 2];
+    if (symmetrize && e.src != e.dst) ++offsets[std::size_t{e.dst} + 2];
   }
-  std::partial_sum(g.offsets_.begin(), g.offsets_.end(), g.offsets_.begin());
-  SIMPROF_ENSURES(g.offsets_.back() == g.neighbors_.size(),
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  neighbors.resize(offsets.back());
+  for (const Edge& e : edges) {
+    neighbors[offsets[std::size_t{e.src} + 1]++] = e.dst;
+    if (symmetrize && e.src != e.dst) {
+      neighbors[offsets[std::size_t{e.dst} + 1]++] = e.src;
+    }
+  }
+  offsets.pop_back();
+  std::vector<Edge>().swap(edges);
+
+  // Sort and dedup each row in place, compacting the rows leftward.
+  VertexId* const base = neighbors.data();
+  std::uint64_t out = 0, row_begin = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::uint64_t row_end = offsets[v + 1];
+    VertexId* const first = base + row_begin;
+    std::sort(first, base + row_end);
+    VertexId* const last = std::unique(first, base + row_end);
+    offsets[v] = out;
+    out = static_cast<std::uint64_t>(std::move(first, last, base + out) - base);
+    row_begin = row_end;
+  }
+  offsets[n] = out;
+  neighbors.resize(out);
+  neighbors.shrink_to_fit();
+  SIMPROF_ENSURES(offsets.size() == n + 1 && offsets.back() == neighbors.size(),
                   "CSR construction mismatch");
   return g;
 }

@@ -23,7 +23,17 @@ class Graph {
 
   /// Build CSR from an edge list. Self-loops are kept; duplicate edges are
   /// removed. If `symmetrize` is set every edge is also inserted reversed
-  /// (undirected view, needed by Connected Components).
+  /// (undirected view, needed by Connected Components). Rows come out in
+  /// ascending neighbor order — the CSR a global sort-and-unique of the
+  /// edge list would give.
+  ///
+  /// Built by counting sort in O(V + E) plus per-row sorts: count the
+  /// out-degrees (reversed edges too when symmetrizing, but a self-loop
+  /// once), prefix-sum them into the offsets, scatter the destinations,
+  /// free `edges`, then sort and dedup each row in place while compacting
+  /// the rows leftward. Peak memory is the edge list plus one neighbor
+  /// array; no second, symmetrized edge list is ever materialized. Every
+  /// endpoint is range-checked before it indexes anything.
   static Graph from_edges(VertexId num_vertices, std::vector<Edge> edges,
                           bool symmetrize);
 

@@ -27,7 +27,13 @@ struct KroneckerConfig {
 /// Generate the edge list and build a CSR graph. Duplicate edges collapse
 /// inside Graph::from_edges, so the realized edge count is slightly below
 /// edge_factor·V for skewed initiators — the same behaviour as SNAP's
-/// krongen.
+/// krongen. `edge_factor` must be finite and non-negative.
+///
+/// Each level of an edge costs one uniform draw u and no branch: the
+/// noise-blended quadrant probabilities are fixed for the whole run, so
+/// their running sums t1 <= t2 <= t3 are computed once, and the quadrant
+/// is (u >= t1) + (u >= t2) + (u >= t3) — the same index an if/else chain
+/// over "u < t1, u < t2, u < t3" picks, because the thresholds are ordered.
 Graph kronecker_graph(const KroneckerConfig& cfg, bool symmetrize);
 
 /// Memoized generation (same contract as TextCorpus::synthesize_shared):

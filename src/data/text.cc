@@ -4,6 +4,7 @@
 #include <tuple>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "support/assert.h"
 #include "support/single_flight.h"
 #include "support/zipf.h"
@@ -14,6 +15,9 @@ TextCorpus TextCorpus::synthesize(const TextConfig& cfg) {
   SIMPROF_EXPECTS(cfg.num_words > 0, "empty corpus requested");
   SIMPROF_EXPECTS(cfg.vocabulary > 0, "empty vocabulary");
   SIMPROF_EXPECTS(cfg.mean_doc_words > 0, "documents must be non-empty");
+  SIMPROF_EXPECTS(cfg.num_classes <= cfg.vocabulary,
+                  "more classes than vocabulary words");
+  obs::ObsSpan span("data.text_synth");
 
   TextCorpus out;
   out.cfg_ = cfg;

@@ -1,7 +1,8 @@
 #include "support/zipf.h"
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "support/assert.h"
 
@@ -9,6 +10,8 @@ namespace simprof {
 
 ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s) {
   SIMPROF_EXPECTS(n > 0, "Zipf vocabulary must be non-empty");
+  SIMPROF_EXPECTS(n <= std::numeric_limits<std::uint32_t>::max(),
+                  "Zipf vocabulary too large");
   SIMPROF_EXPECTS(s >= 0.0, "Zipf exponent must be non-negative");
   cdf_.resize(n);
   double acc = 0.0;
@@ -19,12 +22,18 @@ ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s) {
   norm_ = acc;
   for (auto& v : cdf_) v /= norm_;
   cdf_.back() = 1.0;  // guard against floating-point shortfall
-}
 
-std::size_t ZipfSampler::sample(Rng& rng) const {
-  const double u = rng.next_double();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin());
+  const std::size_t buckets = std::bit_ceil(n);
+  bucket_scale_ = static_cast<double>(buckets);
+  guide_.resize(buckets + 1);
+  std::size_t k = 0;
+  for (std::size_t j = 0; j <= buckets; ++j) {
+    // k = lower_bound(cdf, j/B), clamped to n-1; the edges rise with j, so
+    // one forward sweep finds every cutpoint.
+    const double edge = static_cast<double>(j) / bucket_scale_;
+    while (k + 1 < n && cdf_[k] < edge) ++k;
+    guide_[j] = static_cast<std::uint32_t>(k);
+  }
 }
 
 double ZipfSampler::probability(std::size_t rank) const {

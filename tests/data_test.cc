@@ -2,8 +2,14 @@
 // Kronecker generation and the Table II catalog.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "data/catalog.h"
 #include "data/graph.h"
@@ -87,6 +93,17 @@ TEST(TextCorpus, TotalBytesIsSumOfWordBytes) {
   EXPECT_EQ(c.total_bytes(), sum);
 }
 
+TEST(TextCorpus, RejectsMoreClassesThanWords) {
+  // Each class owns a vocabulary band of vocabulary / num_classes words; an
+  // empty band would be a division by zero.
+  auto cfg = tiny_text();
+  cfg.vocabulary = 3;
+  cfg.num_classes = 4;
+  EXPECT_THROW(TextCorpus::synthesize(cfg), ContractViolation);
+  cfg.num_classes = 3;
+  EXPECT_NO_THROW(TextCorpus::synthesize(cfg));
+}
+
 TEST(Graph, CsrFromEdgesBasics) {
   std::vector<Edge> edges{{0, 1}, {0, 2}, {1, 2}, {2, 0}};
   const Graph g = Graph::from_edges(3, edges, /*symmetrize=*/false);
@@ -119,6 +136,70 @@ TEST(Graph, SelfLoopNotDuplicatedBySymmetrize) {
 TEST(Graph, OutOfRangeEndpointThrows) {
   std::vector<Edge> edges{{0, 5}};
   EXPECT_THROW(Graph::from_edges(2, edges, false), ContractViolation);
+  // A bad endpoint after valid edges, on either side, with or without
+  // symmetrization: the throw comes before any count is indexed by it.
+  for (const bool symmetrize : {false, true}) {
+    std::vector<Edge> bad_dst{{0, 1}, {1, 0}, {1, 7}};
+    EXPECT_THROW(Graph::from_edges(2, bad_dst, symmetrize), ContractViolation);
+    std::vector<Edge> bad_src{{0, 1}, {9, 0}};
+    EXPECT_THROW(Graph::from_edges(2, bad_src, symmetrize), ContractViolation);
+    std::vector<Edge> max_id{{0, std::numeric_limits<VertexId>::max()}};
+    EXPECT_THROW(Graph::from_edges(2, max_id, symmetrize), ContractViolation);
+  }
+}
+
+/// The CSR a global sort-and-unique over the (symmetrized) edge list gives:
+/// rows ascending, duplicates collapsed, self-loops kept once.
+std::pair<std::vector<std::uint64_t>, std::vector<VertexId>> reference_csr(
+    VertexId n, std::vector<Edge> edges, bool symmetrize) {
+  if (symmetrize) {
+    const std::size_t m = edges.size();
+    for (std::size_t i = 0; i < m; ++i) {
+      if (edges[i].src != edges[i].dst) {
+        edges.push_back(Edge{edges[i].dst, edges[i].src});
+      }
+    }
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+  });
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  std::vector<std::uint64_t> offsets(std::size_t{n} + 1, 0);
+  std::vector<VertexId> neighbors;
+  for (const Edge& e : edges) {
+    ++offsets[e.src + 1];
+    neighbors.push_back(e.dst);
+  }
+  for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  return {offsets, neighbors};
+}
+
+TEST(Graph, FromEdgesMatchesSortAndUniqueReference) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto n = static_cast<VertexId>(1 + rng.next_below(40));
+    // Few distinct endpoints relative to the edge count: many duplicates,
+    // self-loops and (for the larger n) isolated vertices. Every tenth
+    // list is empty; the others always give vertex n - 1 an edge.
+    std::vector<Edge> edges;
+    if (trial % 10 != 0) {
+      const std::size_t m = rng.next_below(4 * n + 1);
+      for (std::size_t i = 0; i < m; ++i) {
+        edges.push_back(Edge{static_cast<VertexId>(rng.next_below(n)),
+                             static_cast<VertexId>(rng.next_below(n))});
+      }
+      edges.push_back(Edge{n - 1, static_cast<VertexId>(rng.next_below(n))});
+    }
+    for (const bool symmetrize : {false, true}) {
+      const Graph g = Graph::from_edges(n, edges, symmetrize);
+      const auto [offsets, neighbors] = reference_csr(n, edges, symmetrize);
+      ASSERT_EQ(g.num_vertices(), n);
+      ASSERT_TRUE(std::ranges::equal(g.offsets(), offsets))
+          << "trial " << trial << " symmetrize " << symmetrize;
+      ASSERT_TRUE(std::ranges::equal(g.edges_flat(), neighbors))
+          << "trial " << trial << " symmetrize " << symmetrize;
+    }
+  }
 }
 
 TEST(Graph, UnionFindGroundTruth) {
@@ -199,6 +280,113 @@ TEST(Kronecker, RejectsBadConfig) {
   cfg = KroneckerConfig{};
   cfg.noise = 0.9;
   EXPECT_THROW(kronecker_graph(cfg, false), ContractViolation);
+  for (const double bad : {-1.0, std::nan(""),
+                           std::numeric_limits<double>::infinity(), 1e300}) {
+    cfg = KroneckerConfig{};
+    cfg.scale = 4;
+    cfg.edge_factor = bad;
+    EXPECT_THROW(kronecker_graph(cfg, false), ContractViolation) << bad;
+  }
+  cfg = KroneckerConfig{};
+  cfg.scale = 4;
+  cfg.edge_factor = 0.0;
+  EXPECT_EQ(kronecker_graph(cfg, false).num_edges(), 0u);
+}
+
+// Golden digests of synthesized inputs. Every cached profile fixture is a
+// function of these streams, so any change to the samplers' output — one
+// word, one edge — must show up here, not as a silently different profile.
+// The values come from reference implementations: a whole-CDF lower_bound
+// Zipf inversion, an if/else quadrant chain and a global sort-and-unique
+// CSR build.
+
+/// FNV-1a over each value's eight little-endian bytes.
+template <typename T>
+std::uint64_t fnv_digest(std::span<const T> values) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const T v : values) {
+    const auto x = static_cast<std::uint64_t>(v);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (x >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+struct TextGolden {
+  TextConfig cfg;
+  std::uint64_t words, doc_offsets;
+};
+
+TEST(Golden, TextCorpusDigests) {
+  auto text = [](std::uint64_t words, std::uint32_t vocab, double skew,
+                 std::uint32_t classes, std::uint64_t seed) {
+    TextConfig cfg;
+    cfg.num_words = words;
+    cfg.vocabulary = vocab;
+    cfg.zipf_skew = skew;
+    cfg.mean_doc_words = 40;
+    cfg.num_classes = classes;
+    cfg.seed = seed;
+    return cfg;
+  };
+  const TextGolden cases[] = {
+      {text(50'000, 3'000, 1.05, 0, 3), 521252915754932462u,
+       7630982258391919082u},
+      {text(40'000, 1 << 12, 1.0, 0, 42), 14236487312514825433u,
+       754015572923012255u},
+      // Uniform over a power-of-two vocabulary: every CDF value lies
+      // exactly on a guide-table bucket edge.
+      {text(20'000, 1 << 10, 0.0, 0, 5), 16672655325296176642u,
+       17347038791155779752u},
+      {text(30'000, 2'000, 1.0, 4, 11), 4205568569487325128u,
+       3776907115039668923u},
+      {text(30'000, 1 << 11, 2.5, 3, 12), 10888864126255570768u,
+       12771047493135785322u},
+  };
+  for (const auto& c : cases) {
+    const TextCorpus corpus = TextCorpus::synthesize(c.cfg);
+    EXPECT_EQ(fnv_digest(corpus.words()), c.words)
+        << "vocabulary " << c.cfg.vocabulary << " seed " << c.cfg.seed;
+    EXPECT_EQ(fnv_digest(corpus.doc_offsets()), c.doc_offsets)
+        << "vocabulary " << c.cfg.vocabulary << " seed " << c.cfg.seed;
+  }
+}
+
+struct GraphGolden {
+  KroneckerConfig cfg;
+  bool symmetrize;
+  std::uint64_t offsets, edges;
+};
+
+TEST(Golden, KroneckerGraphDigests) {
+  KroneckerConfig skewed;  // web-like default initiator
+  skewed.scale = 10;
+  skewed.edge_factor = 8.0;
+  skewed.seed = 21;
+  KroneckerConfig noisy;  // road-like: flat initiator, smoothed levels
+  noisy.a = 0.3;
+  noisy.b = 0.27;  // b != c, so a swap of the b and c quadrants shows
+  noisy.c = 0.23;
+  noisy.d = 0.2;
+  noisy.noise = 0.35;
+  noisy.scale = 11;
+  noisy.edge_factor = 3.5;
+  noisy.seed = 22;
+  const GraphGolden cases[] = {
+      {skewed, false, 3004315669652407962u, 14878926629767239994u},
+      {skewed, true, 1947113018461453345u, 3414242961538562840u},
+      {noisy, false, 13898702256933372084u, 6950763455649020071u},
+      {noisy, true, 5577840319489722452u, 2103171371055602075u},
+  };
+  for (const auto& c : cases) {
+    const Graph g = kronecker_graph(c.cfg, c.symmetrize);
+    EXPECT_EQ(fnv_digest(g.offsets()), c.offsets)
+        << "scale " << c.cfg.scale << " symmetrize " << c.symmetrize;
+    EXPECT_EQ(fnv_digest(g.edges_flat()), c.edges)
+        << "scale " << c.cfg.scale << " symmetrize " << c.symmetrize;
+  }
 }
 
 TEST(Catalog, HasAllEightTableTwoInputs) {

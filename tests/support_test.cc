@@ -3,7 +3,9 @@
 // the single-flight memo map.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -143,6 +145,49 @@ TEST(Zipf, ZeroExponentIsUniform) {
   for (std::size_t r = 0; r < 10; ++r) {
     EXPECT_NEAR(z.probability(r), 0.1, 1e-12);
   }
+}
+
+// The guide table must return exactly what a lower_bound over the whole CDF
+// returns, for every u. Probe every place the two could disagree: each CDF
+// value and its neighbours, each bucket edge j/B and its neighbours, and
+// both ends of [0, 1). With s = 0 some CDF values land exactly on bucket
+// edges (n = 1000: 0.125 = 125/1000 = 128/1024; n = 1024: all of them).
+TEST(Zipf, GuideTableMatchesWholeCdfSearch) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{1000},
+                              std::size_t{1024}, (std::size_t{1} << 17) + 5}) {
+    for (const double s : {0.0, 1.0, 2.5}) {
+      const ZipfSampler z(n, s);
+      const auto cdf = z.cdf();
+      ASSERT_EQ(cdf.size(), n);
+      auto check = [&](double u) {
+        if (!(u >= 0.0 && u < 1.0)) return;
+        const auto want = static_cast<std::size_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        ASSERT_EQ(z.rank_of(u), want) << "n " << n << " s " << s << " u " << u;
+      };
+      auto check_around = [&](double x) {
+        check(x);
+        check(std::nextafter(x, 0.0));
+        check(std::nextafter(x, 2.0));
+      };
+      for (const double c : cdf) check_around(c);
+      const double buckets = static_cast<double>(std::bit_ceil(n));
+      for (double j = 0; j <= buckets; ++j) check_around(j / buckets);
+      check(0.0);
+      check(std::nextafter(1.0, 0.0));
+    }
+  }
+}
+
+TEST(Zipf, SampleIsOneDrawThroughTheInversion) {
+  const ZipfSampler z(5000, 1.05);
+  Rng a(77), b(77);
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_EQ(z.sample(a), z.rank_of(b.next_double()));
+  }
+  EXPECT_EQ(a.state(), b.state());
+  EXPECT_THROW(z.rank_of(1.0), ContractViolation);
+  EXPECT_THROW(z.rank_of(-0.5), ContractViolation);
 }
 
 TEST(Zipf, RejectsEmptyVocabulary) {
