@@ -3,23 +3,22 @@
 //
 // Unlike the perf_* google-benchmark suites this is a custom sweep driver:
 // the quantity under test is the whole daemon's throughput knee, not a
-// single timed region. Three phases, all against in-process ServiceServer
+// single timed region. Two phases, all against in-process ServiceServer
 // instances sharing one warm lab cache (the oracle pass runs once, during
 // pre-warm, so every swept request measures dispatch + decode + analysis —
 // the daemon's steady-state cost):
 //
-//   1. Exhaustive fixed sweep — pin admission to each level 1..max and
-//      drive identical offered load; the per-level QPS is the measured
-//      saturation curve and its argmax is the ground-truth knee (C*, QPS*).
-//   2. Probing run — same load, admission control on, no hand-set
-//      concurrency. The converged level/throughput (admission-trace tail)
-//      must reach within 10% of QPS* or the bench exits non-zero — this is
-//      the acceptance criterion for the throughput-probing controller.
-//   3. Offered-load sweep — QPS / p50 / p99 versus offered concurrency on
-//      one resident probing server, the classic hockey-stick latency curve.
+//   1. Exhaustive fixed sweep — run each worker count 1..max (max is raised
+//      to cover the default, nproc) under identical saturating load; the
+//      per-level QPS is the measured saturation curve and its argmax is the
+//      ground-truth knee (C*, QPS*). The default worker count's QPS must
+//      reach within 10% of QPS* or the bench exits non-zero — the check
+//      that `workers = nproc` needs no tuning.
+//   2. Offered-load sweep — QPS / p50 / p99 versus offered concurrency on
+//      one resident default-config server, the hockey-stick latency curve.
 //
 // Flags (after the common obs flags): --out FILE, --scale F, --max-level N,
-// --requests N (per client, fixed sweep), --probe-interval-ms N.
+// --requests N (per client, fixed sweep).
 #include <unistd.h>
 
 #include <algorithm>
@@ -28,13 +27,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "service/loadgen.h"
 #include "service/server.h"
+#include "support/thread_pool.h"
 
 namespace {
 
@@ -50,11 +50,10 @@ struct BenchOptions {
   double scale = 0.4;
   std::size_t max_level = 6;
   std::size_t requests_per_client = 80;
-  std::uint32_t probe_interval_ms = 50;
 };
 
 struct SweepPoint {
-  std::size_t level = 0;     ///< fixed admission level (fixed sweep)
+  std::size_t level = 0;     ///< worker count (fixed sweep)
   std::size_t offered = 0;   ///< clients × inflight (offered-load sweep)
   double mean_qps = 0.0;     ///< mean across sweep passes (fixed sweep)
   std::vector<service::LoadgenReport> reports;  ///< one per pass
@@ -89,37 +88,14 @@ service::LoadgenConfig make_load(const std::string& socket, std::size_t clients,
 
 /// Run one (server config, load) pair to completion; the server is fully
 /// drained and joined before the report is returned.
-struct RunResult {
-  service::LoadgenReport report;
-  service::ServerStats stats;
-  std::vector<service::AdmissionTracePoint> trace;
-};
-
-RunResult run_once(service::ServiceConfig cfg,
-                   const service::LoadgenConfig& load) {
+service::LoadgenReport run_once(service::ServiceConfig cfg,
+                                const service::LoadgenConfig& load) {
   service::ServiceServer server(std::move(cfg));
   server.start();
-  RunResult out;
-  out.report = service::run_loadgen(load);
-  out.stats = server.stats();
-  out.trace = server.admission_trace();
+  service::LoadgenReport report = service::run_loadgen(load);
   server.request_stop();
   server.wait();
-  return out;
-}
-
-/// Steady-state throughput: mean of the trace's last few active windows.
-/// The loadgen QPS includes the convergence transient; the tail is what the
-/// controller actually settled on.
-double trace_tail_qps(const std::vector<service::AdmissionTracePoint>& trace,
-                      std::size_t tail = 12) {
-  if (trace.empty()) return 0.0;
-  const std::size_t n = std::min(tail, trace.size());
-  double sum = 0.0;
-  for (std::size_t i = trace.size() - n; i < trace.size(); ++i) {
-    sum += trace[i].throughput;
-  }
-  return sum / static_cast<double>(n);
+  return report;
 }
 
 void write_report(std::ostream& os, const service::LoadgenReport& r) {
@@ -152,15 +128,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--requests") == 0) {
       opt.requests_per_client = static_cast<std::size_t>(
           std::strtoull(next("--requests"), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--probe-interval-ms") == 0) {
-      opt.probe_interval_ms = static_cast<std::uint32_t>(
-          std::strtoul(next("--probe-interval-ms"), nullptr, 10));
     } else {
       std::fprintf(stderr, "perf_service: unknown flag %s\n", argv[i]);
       return 2;
     }
   }
-  opt.max_level = std::max<std::size_t>(opt.max_level, 2);
+  const std::size_t default_level = support::default_thread_count();
+  opt.max_level = std::max({opt.max_level, default_level, std::size_t{2}});
 
   namespace fs = std::filesystem;
   const fs::path scratch =
@@ -178,9 +152,6 @@ int main(int argc, char** argv) {
   service::ServiceConfig base;
   base.socket_path = socket;
   base.lab = make_lab_config(opt, cache_dir);
-  base.admission.min_concurrency = 1;
-  base.admission.max_concurrency = opt.max_level;
-  base.admission.probe_interval_ms = opt.probe_interval_ms;
   base.max_queue = 256;
   base.client_max_inflight = 16;
 
@@ -190,8 +161,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "perf_service: pre-warming lab cache...\n");
   {
     service::ServiceConfig warm = base;
-    warm.fixed_concurrency = true;
-    warm.admission.initial_concurrency = 1;
+    warm.workers = 1;
     run_once(std::move(warm), make_load(socket, 1, 1, 1, opt));
   }
 
@@ -200,17 +170,16 @@ int main(int argc, char** argv) {
   // than the rest.
   {
     service::ServiceConfig cfg = base;
-    cfg.fixed_concurrency = true;
-    cfg.admission.initial_concurrency = 2;
+    cfg.workers = 2;
     run_once(std::move(cfg), make_load(socket, 4, 2, 8, opt));
   }
 
-  // Phase 1: exhaustive fixed-concurrency sweep at constant offered load.
+  // Phase 1: exhaustive worker-count sweep at constant offered load.
   // Offered concurrency (clients × inflight) exceeds every swept level so
   // each level runs saturated and the per-level QPS is the curve itself.
   // Two passes per level, averaged: a single pass's argmax is biased high
   // by run-to-run noise (max over N noisy samples), which would unfairly
-  // penalise the probing run it is compared against.
+  // penalise the default level it is compared against.
   constexpr std::size_t kSweepPasses = 2;
   const std::size_t sweep_clients = opt.max_level + 2;
   const std::size_t sweep_inflight = 2;
@@ -221,17 +190,16 @@ int main(int argc, char** argv) {
   for (std::size_t pass = 0; pass < kSweepPasses; ++pass) {
     for (std::size_t level = 1; level <= opt.max_level; ++level) {
       service::ServiceConfig cfg = base;
-      cfg.fixed_concurrency = true;
-      cfg.admission.initial_concurrency = level;
-      RunResult run = run_once(
+      cfg.workers = level;
+      const service::LoadgenReport report = run_once(
           std::move(cfg),
           make_load(socket, sweep_clients, sweep_inflight,
                     opt.requests_per_client, opt));
       std::fprintf(stderr,
-                   "perf_service: fixed level %zu (pass %zu) -> %.1f qps "
+                   "perf_service: %zu workers (pass %zu) -> %.1f qps "
                    "(p99 %.1f ms)\n",
-                   level, pass + 1, run.report.qps, run.report.p99_ms);
-      fixed_sweep[level - 1].reports.push_back(run.report);
+                   level, pass + 1, report.qps, report.p99_ms);
+      fixed_sweep[level - 1].reports.push_back(report);
     }
   }
   std::size_t best_level = 1;
@@ -246,55 +214,20 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Phase 2: the probing run. Same offered load, default initial level, no
-  // hand-set concurrency anywhere — the controller has to find the knee on
-  // its own. Longer than a fixed run so the convergence transient amortises
-  // and the trace tail reflects the settled level.
-  service::ServiceConfig probing_cfg = base;
-  probing_cfg.fixed_concurrency = false;
-  RunResult probing = run_once(
-      std::move(probing_cfg),
-      make_load(socket, sweep_clients, sweep_inflight,
-                opt.requests_per_client * 3, opt));
-  const double probing_tail_qps = trace_tail_qps(probing.trace);
-  const std::size_t converged_level = probing.stats.admission_level;
-
-  // Confirmation run: the converged level re-measured exactly like a sweep
-  // level (fixed, same load, no transient). This scores the *operating
-  // point the controller chose* with the same estimator the sweep used —
-  // the whole-run probing QPS also carries the convergence transient and
-  // the periodic probe dips, which are the cost of probing, not of the
-  // chosen level.
-  double converged_fixed_qps = 0.0;
-  {
-    service::ServiceConfig cfg = base;
-    cfg.fixed_concurrency = true;
-    cfg.admission.initial_concurrency = converged_level;
-    RunResult confirm = run_once(
-        std::move(cfg),
-        make_load(socket, sweep_clients, sweep_inflight,
-                  opt.requests_per_client, opt));
-    converged_fixed_qps = confirm.report.qps;
-  }
-
-  const double probing_qps = std::max(
-      {probing.report.qps, probing_tail_qps, converged_fixed_qps});
-  const bool within_10pct = probing_qps >= 0.9 * best_qps;
+  const SweepPoint& dflt = fixed_sweep[default_level - 1];
+  const double default_ratio = best_qps > 0.0 ? dflt.mean_qps / best_qps : 0.0;
+  const bool within_10pct = default_ratio >= 0.9;
   std::fprintf(stderr,
-               "perf_service: probing converged at level %zu, %.1f qps "
-               "(tail %.1f, confirm %.1f) vs best fixed %.1f qps at level "
-               "%zu -> %s\n",
-               converged_level, probing.report.qps, probing_tail_qps,
-               converged_fixed_qps, best_qps, best_level,
+               "perf_service: default %zu workers %.1f qps vs best %.1f qps "
+               "at %zu workers -> %s\n",
+               default_level, dflt.mean_qps, best_qps, best_level,
                within_10pct ? "within 10%" : "MISSED 10%");
 
-  // Phase 3: offered-load sweep on one resident probing server — the
+  // Phase 2: offered-load sweep on one resident default-config server — the
   // QPS / p50 / p99 hockey-stick as offered concurrency crosses the knee.
   std::vector<SweepPoint> offered_sweep;
   {
-    service::ServiceConfig cfg = base;
-    cfg.fixed_concurrency = false;
-    service::ServiceServer server(std::move(cfg));
+    service::ServiceServer server(base);
     server.start();
     for (std::size_t offered : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                 std::size_t{6}, std::size_t{8},
@@ -315,17 +248,17 @@ int main(int argc, char** argv) {
     server.wait();
   }
 
-  // Headline figures for the manifest, so `simprof report` gates them.
+  // Headline figures for the manifest, so `simprof report` gates them: the
+  // default worker count's last sweep pass.
+  const service::LoadgenReport& headline = dflt.reports.back();
   obs::ledger().set_quality("service_requests",
-                            static_cast<double>(probing.stats.completed));
-  obs::ledger().set_quality("service_qps", probing_qps);
-  obs::ledger().set_quality("service_p99_ms", probing.report.p99_ms);
-  obs::ledger().set_quality("service_p50_ms", probing.report.p50_ms);
+                            static_cast<double>(headline.completed));
+  obs::ledger().set_quality("service_qps", dflt.mean_qps);
+  obs::ledger().set_quality("service_p99_ms", headline.p99_ms);
+  obs::ledger().set_quality("service_p50_ms", headline.p50_ms);
   obs::ledger().set_quality("service_admission_level",
-                            static_cast<double>(converged_level));
+                            static_cast<double>(default_level));
   obs::ledger().set_quality("service_best_fixed_qps", best_qps);
-  obs::ledger().set_quality("service_probe_ratio",
-                            best_qps > 0.0 ? probing_qps / best_qps : 0.0);
 
   std::ofstream os(opt.out);
   if (!os) {
@@ -337,14 +270,14 @@ int main(int argc, char** argv) {
   const char* git_sha = std::getenv("SIMPROF_GIT_SHA");
   os << " \"build_type\": \"" << (build_type ? build_type : "unknown")
      << "\",\n";
+  os << " \"num_cpus\": " << std::thread::hardware_concurrency() << ",\n";
   os << " \"git_sha\": \"" << (git_sha ? git_sha : "unknown") << "\",\n";
   os << " \"config\": {\"workload\": \"" << kWorkload << "\", \"input\": \""
      << kInput << "\", \"scale\": " << opt.scale
      << ", \"max_level\": " << opt.max_level
      << ", \"requests_per_client\": " << opt.requests_per_client
      << ", \"sweep_clients\": " << sweep_clients
-     << ", \"sweep_inflight\": " << sweep_inflight
-     << ", \"probe_interval_ms\": " << opt.probe_interval_ms << "},\n";
+     << ", \"sweep_inflight\": " << sweep_inflight << "},\n";
 
   os << " \"fixed_sweep\": [\n";
   for (std::size_t i = 0; i < fixed_sweep.size(); ++i) {
@@ -360,24 +293,11 @@ int main(int argc, char** argv) {
   os << " \"best_fixed\": {\"level\": " << best_level
      << ", \"qps\": " << best_qps << "},\n";
 
-  os << " \"probing\": {\n  \"converged_level\": " << converged_level
-     << ",\n  \"qps\": " << probing.report.qps
-     << ",\n  \"tail_qps\": " << probing_tail_qps
-     << ",\n  \"converged_fixed_qps\": " << converged_fixed_qps
-     << ",\n  \"qps_vs_best_fixed\": "
-     << (best_qps > 0.0 ? probing_qps / best_qps : 0.0)
-     << ",\n  \"within_10pct\": " << (within_10pct ? "true" : "false")
-     << ",\n  \"report\": ";
-  write_report(os, probing.report);
-  os << ",\n  \"trace\": [\n";
-  for (std::size_t i = 0; i < probing.trace.size(); ++i) {
-    const auto& t = probing.trace[i];
-    os << "   {\"t_ms\": " << t.t_ms << ", \"level\": " << t.level
-       << ", \"throughput\": " << t.throughput << ", \"exhausted\": "
-       << (t.exhausted ? "true" : "false") << "}"
-       << (i + 1 < probing.trace.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n },\n";
+  os << " \"default\": {\"level\": " << default_level
+     << ", \"qps\": " << dflt.mean_qps
+     << ", \"qps_vs_best_fixed\": " << default_ratio
+     << ", \"within_10pct\": " << (within_10pct ? "true" : "false")
+     << "},\n";
 
   os << " \"offered_load_sweep\": [\n";
   for (std::size_t i = 0; i < offered_sweep.size(); ++i) {
@@ -393,9 +313,9 @@ int main(int argc, char** argv) {
 
   if (!within_10pct) {
     std::fprintf(stderr,
-                 "perf_service: FAIL — probing qps %.1f < 90%% of best "
-                 "fixed qps %.1f\n",
-                 probing_qps, best_qps);
+                 "perf_service: FAIL — default %zu workers qps %.1f < 90%% "
+                 "of best fixed qps %.1f\n",
+                 default_level, dflt.mean_qps, best_qps);
     return 1;
   }
   std::printf("perf_service: wrote %s (knee level %zu, %.1f qps)\n",

@@ -3,19 +3,21 @@
 #
 # Runs perf_service, the custom sweep driver for the service layer:
 #
-#   fixed_sweep        QPS per hand-pinned admission level 1..max — the
+#   fixed_sweep        QPS per worker count 1..max (max covers nproc) — the
 #                      ground-truth saturation curve; its argmax is the knee.
-#   probing            the same load with throughput-probing admission
-#                      control and NO hand-set concurrency. The run fails
-#                      (non-zero exit) unless the converged throughput is
-#                      within 10% of the best fixed level — the acceptance
-#                      criterion for the controller. Includes the full
-#                      admission trace (level/throughput per probe window).
+#   default            the default worker count (nproc). The run fails
+#                      (non-zero exit) unless its QPS is within 10% of the
+#                      best fixed level — the check that the daemon's
+#                      untuned default sits at the knee.
 #   offered_load_sweep QPS / p50 / p99 versus offered concurrency on one
-#                      resident probing server — the hockey-stick curve.
+#                      resident default-config server — the hockey-stick
+#                      curve.
+#
+# BENCH_service.json stamps num_cpus next to build_type: on one CPU the
+# sweep is flat and says nothing about the knee.
 #
 # The manifest carries service_qps / service_p50_ms / service_p99_ms /
-# service_admission_level / service_probe_ratio as quality figures, so
+# service_admission_level / service_best_fixed_qps as quality figures, so
 # `simprof report` gates regressions against previous runs. The fold step
 # appends the svc.* / pool.* counter snapshot under "simprof_metrics" and
 # stamps build provenance.
@@ -61,9 +63,9 @@ with open("BENCH_service.json", "w") as f:
     json.dump(bench, f, indent=1)
     f.write("\n")
 
-probing = bench["probing"]
+default = bench["default"]
 print("folded metrics snapshot into BENCH_service.json")
-print("best_fixed:", bench["best_fixed"],
-      "probing_level:", probing["converged_level"],
-      "qps_vs_best_fixed:", round(probing["qps_vs_best_fixed"], 3))
+print("num_cpus:", bench["num_cpus"], "best_fixed:", bench["best_fixed"],
+      "default_level:", default["level"],
+      "qps_vs_best_fixed:", round(default["qps_vs_best_fixed"], 3))
 EOF

@@ -83,10 +83,12 @@ ClientTally run_client(const LoadgenConfig& cfg, std::size_t client_index) {
     std::istringstream is(payload);
     BinaryReader r(is);
     MessageHeader h;
+    Status status = Status::kOk;
     try {
       h = read_header(r);
+      if (h.kind == MsgKind::kResponse) status = static_cast<Status>(r.u32());
     } catch (const SerializeError&) {
-      break;
+      break;  // a malformed frame ends the loop like a dropped connection
     }
     if (h.kind == MsgKind::kStreamUpdate) {
       ++tally.stream_updates;
@@ -95,7 +97,6 @@ ClientTally run_client(const LoadgenConfig& cfg, std::size_t client_index) {
     if (h.kind != MsgKind::kResponse) continue;
     const auto it = outstanding.find(h.request_id);
     if (it == outstanding.end()) continue;
-    const auto status = static_cast<Status>(r.u32());
     if (status == Status::kOk) {
       ++tally.completed;
       tally.latencies_ms.push_back(

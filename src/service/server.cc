@@ -15,6 +15,7 @@
 #include "features/feature_mode.h"
 #include "obs/obs.h"
 #include "support/assert.h"
+#include "support/thread_pool.h"
 #include "workloads/workloads.h"
 
 namespace simprof::service {
@@ -63,9 +64,9 @@ struct ServiceServer::Connection {
   std::atomic<bool> dead{false};
 };
 
-ServiceServer::ServiceServer(ServiceConfig cfg)
-    : cfg_(std::move(cfg)), probe_(cfg_.admission) {
+ServiceServer::ServiceServer(ServiceConfig cfg) : cfg_(std::move(cfg)) {
   SIMPROF_EXPECTS(!cfg_.socket_path.empty(), "service: socket_path required");
+  cfg_.workers = support::resolve_threads(cfg_.workers);
   cfg_.lab.use_cache = true;
   cfg_.lab.threads = cfg_.request_threads;
 }
@@ -79,16 +80,13 @@ void ServiceServer::start() {
   SIMPROF_EXPECTS(!started_.exchange(true), "service: start() called twice");
   listen_fd_ = listen_unix(cfg_.socket_path);
   start_time_ = Clock::now();
-  svc_metrics().admission_level.set(static_cast<double>(admitted_level()));
+  svc_metrics().admission_level.set(static_cast<double>(cfg_.workers));
   SIMPROF_LOG(kInfo) << "svc: listening on " << cfg_.socket_path
-                     << " workers=" << cfg_.admission.max_concurrency
-                     << " tickets=" << admitted_level()
-                     << (cfg_.fixed_concurrency ? " (fixed)" : " (probing)");
-  workers_.reserve(cfg_.admission.max_concurrency);
-  for (std::size_t i = 0; i < cfg_.admission.max_concurrency; ++i) {
+                     << " workers=" << cfg_.workers;
+  workers_.reserve(cfg_.workers);
+  for (std::size_t i = 0; i < cfg_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
-  prober_ = std::thread([this] { probe_loop(); });
   listener_ = std::thread([this] { listener_loop(); });
 }
 
@@ -101,7 +99,6 @@ void ServiceServer::request_stop() {
     if (stop_.exchange(true, std::memory_order_acq_rel)) return;
   }
   cv_.notify_all();
-  probe_cv_.notify_all();
 }
 
 void ServiceServer::wait() {
@@ -111,7 +108,6 @@ void ServiceServer::wait() {
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
-  if (prober_.joinable()) prober_.join();
   // Every queued request has been answered; now wake the readers (blocked
   // in recv) and join them.
   {
@@ -130,15 +126,6 @@ void ServiceServer::wait() {
                      << completed_.load() << " rejected="
                      << (rejected_quota_.load() + rejected_queue_full_.load() +
                          rejected_shutdown_.load());
-}
-
-std::size_t ServiceServer::admitted_level() const {
-  if (cfg_.fixed_concurrency) {
-    return std::clamp(cfg_.admission.initial_concurrency,
-                      cfg_.admission.min_concurrency,
-                      cfg_.admission.max_concurrency);
-  }
-  return probe_.concurrency();
 }
 
 core::WorkloadLab ServiceServer::make_lab(double scale,
@@ -329,7 +316,6 @@ void ServiceServer::admit(const std::shared_ptr<Connection>& conn,
     }
     queue_.push_back({conn, header, std::move(body), Clock::now()});
     conn->inflight.fetch_add(1, std::memory_order_relaxed);
-    if (active_ >= admitted_level()) window_exhausted_ = true;
     svc_metrics().queue_depth.set(static_cast<double>(queue_.size()));
   }
   auto& m = svc_metrics();
@@ -346,18 +332,12 @@ void ServiceServer::worker_loop() {
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [&] {
-        if (stop_.load(std::memory_order_relaxed) && queue_.empty()) {
-          return true;
-        }
-        return !queue_.empty() && active_ < admitted_level();
+        return !queue_.empty() || stop_.load(std::memory_order_relaxed);
       });
       if (queue_.empty()) return;  // stop_ && drained
       req = std::move(queue_.front());
       queue_.pop_front();
       ++active_;
-      if (!queue_.empty() && active_ >= admitted_level()) {
-        window_exhausted_ = true;
-      }
       m.queue_depth.set(static_cast<double>(queue_.size()));
       m.inflight.set(static_cast<double>(active_));
     }
@@ -366,48 +346,7 @@ void ServiceServer::worker_loop() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       --active_;
-      ++window_completions_;
       m.inflight.set(static_cast<double>(active_));
-    }
-    cv_.notify_all();
-  }
-}
-
-void ServiceServer::probe_loop() {
-  auto window_start = Clock::now();
-  std::unique_lock<std::mutex> plk(probe_mu_);
-  for (;;) {
-    probe_cv_.wait_for(
-        plk, std::chrono::milliseconds(cfg_.admission.probe_interval_ms),
-        [&] { return stop_.load(std::memory_order_acquire); });
-    if (stop_.load(std::memory_order_acquire)) return;
-
-    std::uint64_t completions = 0;
-    bool exhausted = false;
-    bool idle = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      completions = window_completions_;
-      exhausted = window_exhausted_;
-      window_completions_ = 0;
-      window_exhausted_ = false;
-      idle = completions == 0 && !exhausted && queue_.empty() && active_ == 0;
-    }
-    const double dt_sec =
-        std::chrono::duration<double>(Clock::now() - window_start).count();
-    window_start = Clock::now();
-    if (idle || dt_sec <= 0.0) continue;  // an idle daemon holds its level
-
-    const double throughput = static_cast<double>(completions) / dt_sec;
-    if (!cfg_.fixed_concurrency) {
-      probe_.on_probe(throughput, exhausted);
-      cv_.notify_all();  // the admitted level may have moved
-    }
-    svc_metrics().admission_level.set(static_cast<double>(admitted_level()));
-    {
-      std::lock_guard<std::mutex> lock(trace_mu_);
-      trace_.push_back(
-          {ms_since(start_time_), admitted_level(), throughput, exhausted});
     }
   }
 }
@@ -622,17 +561,12 @@ ServerStats ServiceServer::stats() const {
     s.queue_depth = queue_.size();
     s.inflight = active_;
   }
-  s.admission_level = admitted_level();
+  s.admission_level = cfg_.workers;
   if (started_.load(std::memory_order_acquire)) {
     s.uptime_sec =
         std::chrono::duration<double>(Clock::now() - start_time_).count();
   }
   return s;
-}
-
-std::vector<AdmissionTracePoint> ServiceServer::admission_trace() const {
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  return trace_;
 }
 
 }  // namespace simprof::service

@@ -11,13 +11,10 @@
 //                      request queue  ◀── typed rejections happen here:
 //                           │             kOverQuota (client in-flight cap),
 //                           ▼             kQueueFull, kShuttingDown
-//   workers (max_concurrency threads, gated to probe.concurrency() tickets)
+//   workers (a fixed pool of `workers` threads; each takes the next queued
+//           │ request whenever it is free)
 //           │ WorkloadLab::run_batch — concurrent identical configs collapse
-//           │ to ONE oracle pass via the lab's single-flight (lab.batch_dedup)
-//           ▼
-//   probe thread: every probe_interval_ms feeds (completions/sec, tickets
-//   exhausted?) to the ThroughputProbe (admission.h), which walks the
-//   admitted ticket count to the knee of the measured saturation curve.
+//           ▼ to ONE oracle pass via the lab's single-flight (lab.batch_dedup)
 //
 // Per-client quotas: at most client_max_inflight queued+running requests
 // per connection, and streaming requests run their StreamingPhaseFormer
@@ -28,7 +25,7 @@
 // Determinism: request execution is a pure function of the request (the
 // lab cache key covers every parameter), so daemon results are bit-identical
 // to the one-shot CLI for the same config+seed — enforced by
-// tests/service_test.cc via the profile_bytes blob. Admission control only
+// tests/service_test.cc via the profile_bytes blob. The worker count only
 // decides *when* a request runs, never what it computes.
 #pragma once
 
@@ -45,7 +42,6 @@
 #include <vector>
 
 #include "core/lab.h"
-#include "service/admission.h"
 #include "service/protocol.h"
 
 namespace simprof::service {
@@ -56,10 +52,9 @@ struct ServiceConfig {
   /// scale/seed override it; use_cache is forced on — the shared warm cache
   /// is the point of a resident daemon.
   core::LabConfig lab;
-  AdmissionConfig admission;
-  /// Pin the admitted concurrency to admission.initial_concurrency instead
-  /// of probing (the bench's exhaustive-sweep mode).
-  bool fixed_concurrency = false;
+  /// Worker threads, i.e. requests executed concurrently; 0 means
+  /// support::default_thread_count() (the CLI's --threads flag).
+  std::size_t workers = 0;
   /// Request queue capacity; arrivals beyond it get kQueueFull.
   std::size_t max_queue = 64;
   /// Per-connection cap on queued+running requests; beyond it, kOverQuota.
@@ -68,17 +63,9 @@ struct ServiceConfig {
   /// per-client memory quota; 0 lets clients retain everything).
   std::size_t stream_retain_cap = 0;
   /// Threads each request's lab/analysis stages may use. 1 keeps requests
-  /// independent (concurrency comes from admission tickets); >1 funnels
+  /// independent (concurrency comes from the worker pool); >1 funnels
   /// concurrent requests through the shared pool's job queue.
   std::size_t request_threads = 1;
-};
-
-/// One probe-window observation, for the bench's convergence trace.
-struct AdmissionTracePoint {
-  double t_ms = 0.0;        ///< since server start
-  std::size_t level = 0;    ///< admitted tickets after this window
-  double throughput = 0.0;  ///< completions/sec observed in the window
-  bool exhausted = false;
 };
 
 struct ServerStats {
@@ -92,7 +79,7 @@ struct ServerStats {
   std::uint64_t stream_updates = 0;
   std::size_t queue_depth = 0;
   std::size_t inflight = 0;
-  std::size_t admission_level = 0;
+  std::size_t admission_level = 0;  ///< the worker count
   double uptime_sec = 0.0;
 };
 
@@ -104,7 +91,7 @@ class ServiceServer {
   ServiceServer(const ServiceServer&) = delete;
   ServiceServer& operator=(const ServiceServer&) = delete;
 
-  /// Bind the socket and spawn listener/worker/probe threads. Throws on
+  /// Bind the socket and spawn the listener and worker threads. Throws on
   /// bind failure.
   void start();
 
@@ -119,7 +106,6 @@ class ServiceServer {
   bool stopping() const { return stop_.load(std::memory_order_acquire); }
 
   ServerStats stats() const;
-  std::vector<AdmissionTracePoint> admission_trace() const;
   const ServiceConfig& config() const { return cfg_; }
 
  private:
@@ -136,7 +122,6 @@ class ServiceServer {
   void listener_loop();
   void reader_loop(std::shared_ptr<Connection> conn);
   void worker_loop();
-  void probe_loop();
 
   void handle_frame(const std::shared_ptr<Connection>& conn,
                     const std::string& payload);
@@ -151,7 +136,6 @@ class ServiceServer {
               Status status, const std::string& message);
   bool send_payload(const std::shared_ptr<Connection>& conn,
                     const std::string& payload);
-  std::size_t admitted_level() const;
   core::WorkloadLab make_lab(double scale, std::uint64_t seed) const;
 
   ServiceConfig cfg_;
@@ -161,20 +145,13 @@ class ServiceServer {
   std::atomic<bool> joined_{false};
   std::chrono::steady_clock::time_point start_time_;
 
-  ThroughputProbe probe_;
-
-  mutable std::mutex mu_;  ///< guards queue_, active_, window flags
+  mutable std::mutex mu_;  ///< guards queue_, active_
   std::condition_variable cv_;
   std::deque<QueuedRequest> queue_;
   std::size_t active_ = 0;
-  std::uint64_t window_completions_ = 0;
-  bool window_exhausted_ = false;
 
   std::thread listener_;
   std::vector<std::thread> workers_;
-  std::thread prober_;
-  std::condition_variable probe_cv_;  ///< interruptible probe sleep
-  std::mutex probe_mu_;
 
   mutable std::mutex conns_mu_;
   struct ReaderSlot {
@@ -183,9 +160,6 @@ class ServiceServer {
   };
   std::vector<ReaderSlot> readers_;
   std::uint64_t next_conn_id_ = 0;
-
-  mutable std::mutex trace_mu_;
-  std::vector<AdmissionTracePoint> trace_;
 
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> rejected_quota_{0};

@@ -1,5 +1,7 @@
 #include "workloads/workloads.h"
 
+#include <cmath>
+
 #include "support/assert.h"
 
 namespace simprof::workloads {
@@ -40,6 +42,10 @@ namespace detail {
 
 TextScale text_scale(double scale) {
   SIMPROF_EXPECTS(scale > 0.0, "scale must be positive");
+  // The word count must fit in uint64_t: converting a larger (or non-finite)
+  // double is undefined behaviour. 0x1p64 is 2^64, exactly representable.
+  SIMPROF_EXPECTS(std::isfinite(scale) && 8.0e6 * scale < 0x1p64,
+                  "scale too large: its word count overflows uint64");
   auto words = static_cast<std::uint64_t>(8.0e6 * scale);
   if (words < 20'000) words = 20'000;
   // Vocabulary scales sub-linearly (Heaps' law-ish) and is kept large enough

@@ -1,16 +1,17 @@
-// Service daemon suite: protocol round-trips, ThroughputProbe convergence
-// on synthetic saturation curves, and an in-process ServiceServer driven
-// over a real Unix socket — bit-identity with the one-shot lab, N
-// concurrent same-config clients collapsing to one oracle pass, typed
-// over-quota / queue-full / shutting-down rejections, per-request stream
-// updates under the retention quota, and graceful drain.
+// Service daemon suite: protocol round-trips, and an in-process
+// ServiceServer driven over a real Unix socket — bit-identity with the
+// one-shot lab, N concurrent same-config clients collapsing to one oracle
+// pass, typed over-quota / queue-full / shutting-down / bad-request
+// rejections, per-request stream updates under the retention quota, the
+// worker-pool size, graceful drain, and a loadgen that survives a
+// truncated reply.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -22,12 +23,12 @@
 #include "core/sampling.h"
 #include "features/feature_mode.h"
 #include "obs/obs.h"
-#include "service/admission.h"
 #include "service/client.h"
 #include "service/loadgen.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "support/assert.h"
+#include "support/thread_pool.h"
 
 namespace simprof::service {
 namespace {
@@ -55,8 +56,7 @@ ServiceConfig small_service(const ScratchDir& dir) {
   cfg.lab.scale = 0.05;
   cfg.lab.graph_scale_override = 12;
   cfg.lab.cache_dir = dir.str() + "/cache";
-  cfg.admission.initial_concurrency = 2;
-  cfg.admission.max_concurrency = 4;
+  cfg.workers = 4;
   return cfg;
 }
 
@@ -201,83 +201,6 @@ TEST(ServiceProtocol, StatusTaxonomy) {
 }
 
 // ---------------------------------------------------------------------------
-// Throughput-probing admission control, driven on synthetic saturation
-// curves (the probe is pure state, so these converge deterministically).
-
-/// Concave saturation curve with its knee at `knee`: linear gain up to the
-/// knee, then slight degradation (contention) past it.
-double synthetic_throughput(std::size_t level, std::size_t knee) {
-  const auto l = static_cast<double>(level);
-  const auto k = static_cast<double>(knee);
-  return level <= knee ? 10.0 * l : 10.0 * k - 0.5 * (l - k);
-}
-
-AdmissionConfig probe_config(std::size_t initial) {
-  AdmissionConfig cfg;
-  cfg.min_concurrency = 1;
-  cfg.max_concurrency = 16;
-  cfg.initial_concurrency = initial;
-  return cfg;
-}
-
-TEST(ThroughputProbe, ClimbsFromBelowToTheKnee) {
-  ThroughputProbe probe(probe_config(1));
-  for (int i = 0; i < 60; ++i) {
-    // Offered load far above capacity: tickets always exhausted.
-    probe.on_probe(synthetic_throughput(probe.concurrency(), 4), true);
-  }
-  EXPECT_EQ(probe.stable_concurrency(), 4u);
-  EXPECT_GE(probe.concurrency(), 3u);
-  EXPECT_LE(probe.concurrency(), 5u);
-}
-
-TEST(ThroughputProbe, WalksDownFromAboveTheKnee) {
-  // Over-provisioned start under sustained saturation: the failed-up-probe
-  // → down-probe chain must walk the level back to the knee even though
-  // tickets are exhausted every single window.
-  ThroughputProbe probe(probe_config(16));
-  for (int i = 0; i < 120; ++i) {
-    probe.on_probe(synthetic_throughput(probe.concurrency(), 4), true);
-  }
-  EXPECT_EQ(probe.stable_concurrency(), 4u);
-}
-
-TEST(ThroughputProbe, HoldsTheKneeOnceFound) {
-  ThroughputProbe probe(probe_config(4));
-  for (int i = 0; i < 200; ++i) {
-    probe.on_probe(synthetic_throughput(probe.concurrency(), 4), true);
-    // Probe excursions are one step around the stable point, never a drift.
-    EXPECT_GE(probe.concurrency(), 3u);
-    EXPECT_LE(probe.concurrency(), 5u);
-    EXPECT_EQ(probe.stable_concurrency(), 4u);
-  }
-  EXPECT_EQ(probe.probes(), 200u);
-}
-
-TEST(ThroughputProbe, IdleAndGarbageInputsAreSafe) {
-  ThroughputProbe probe(probe_config(2));
-  probe.on_probe(std::nan(""), false);
-  probe.on_probe(-5.0, true);
-  for (int i = 0; i < 20; ++i) probe.on_probe(0.0, false);
-  EXPECT_GE(probe.concurrency(), 1u);
-  EXPECT_LE(probe.concurrency(), 16u);
-  EXPECT_EQ(probe.stable_concurrency(), probe.concurrency());
-}
-
-TEST(ThroughputProbe, RespectsConfiguredBounds) {
-  AdmissionConfig cfg = probe_config(1);
-  cfg.max_concurrency = 3;
-  ThroughputProbe probe(cfg);
-  for (int i = 0; i < 50; ++i) {
-    // Monotonically improving curve: wants to climb forever, capped at 3.
-    probe.on_probe(10.0 * static_cast<double>(probe.concurrency()), true);
-    EXPECT_LE(probe.concurrency(), 3u);
-    EXPECT_GE(probe.concurrency(), 1u);
-  }
-  EXPECT_EQ(probe.stable_concurrency(), 3u);
-}
-
-// ---------------------------------------------------------------------------
 // In-process server over a real Unix socket.
 
 TEST(ServiceServer, HelloStatsAndUnknownWorkload) {
@@ -288,7 +211,7 @@ TEST(ServiceServer, HelloStatsAndUnknownWorkload) {
   ServiceClient client(server.config().socket_path);
   const StatsResult st = client.stats();
   EXPECT_EQ(st.completed, 0u);
-  EXPECT_EQ(st.admission_level, 2u);
+  EXPECT_EQ(st.admission_level, 4u);
 
   ProfileRequest q;
   q.workload = "no_such_workload";
@@ -301,6 +224,20 @@ TEST(ServiceServer, HelloStatsAndUnknownWorkload) {
   const ServerStats s = server.stats();
   EXPECT_EQ(s.completed, 0u);
   EXPECT_EQ(s.errors, 0u);
+}
+
+TEST(ServiceServer, ZeroWorkersMeansTheDefaultThreadCount) {
+  ScratchDir dir;
+  ServiceConfig cfg = small_service(dir);
+  cfg.workers = 0;
+  support::set_default_thread_count(3);
+  ServiceServer server(cfg);
+  support::set_default_thread_count(0);  // back to hardware_concurrency
+  server.start();
+  EXPECT_EQ(ServiceClient(cfg.socket_path).stats().admission_level, 3u);
+  server.request_stop();
+  server.wait();
+  EXPECT_EQ(server.stats().admission_level, 3u);
 }
 
 TEST(ServiceServer, ProfileBitIdenticalToDirectLab) {
@@ -357,10 +294,6 @@ TEST(ServiceServer, ProfileBitIdenticalToDirectLab) {
 TEST(ServiceServer, ConcurrentSameConfigClientsShareOneOraclePass) {
   ScratchDir dir;
   ServiceConfig cfg = small_service(dir);
-  // All four clients dispatch concurrently: fixed tickets = worker count.
-  cfg.fixed_concurrency = true;
-  cfg.admission.initial_concurrency = 4;
-  cfg.admission.max_concurrency = 4;
   ServiceServer server(cfg);
   server.start();
 
@@ -503,6 +436,23 @@ TEST(ServiceServer, FullQueueIsATypedRejection) {
   EXPECT_EQ(server.stats().rejected_queue_full, 1u);
 }
 
+TEST(ServiceServer, OverflowingScaleIsABadRequest) {
+  // 8e6 words per unit of scale: 1e300 would overflow the uint64 word
+  // count, so the workload refuses it instead of converting.
+  ScratchDir dir;
+  ServiceConfig cfg = small_service(dir);
+  ServiceServer server(cfg);
+  server.start();
+  ProfileRequest q;
+  q.workload = "grep_sp";
+  q.scale = 1e300;
+  EXPECT_EQ(ServiceClient(cfg.socket_path).profile(q).status,
+            Status::kBadRequest);
+  server.request_stop();
+  server.wait();
+  EXPECT_EQ(server.stats().errors, 1u);
+}
+
 TEST(ServiceServer, StreamingProfileSendsInterimSelections) {
   ScratchDir dir;
   ServiceConfig cfg = small_service(dir);
@@ -627,6 +577,46 @@ TEST(ServiceServer, MeasureAndSensitivityVerbsWork) {
   server.wait();
   EXPECT_EQ(server.stats().completed, 3u);
   EXPECT_EQ(server.stats().errors, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Load generator against a misbehaving peer.
+
+TEST(ServiceLoadgen, TruncatedReplyCountsAsErrorsNotACrash) {
+  // A fake daemon acks the hello, then answers the first request with a
+  // kResponse frame that ends right after its header (no status word).
+  ScratchDir dir;
+  const std::string path = dir.str() + "/fake.sock";
+  const int listen_fd = listen_unix(path);
+  std::thread peer([listen_fd] {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd < 0) return;
+    std::string payload;
+    while (read_frame(fd, payload)) {
+      std::istringstream is(payload);
+      BinaryReader r(is);
+      const MessageHeader h = read_header(r);
+      if (h.kind == MsgKind::kHello) {
+        write_frame(fd, pack_message(MsgKind::kHelloAck, h.request_id));
+      } else {
+        write_frame(fd, pack_message(MsgKind::kResponse, h.request_id));
+      }
+    }
+    ::close(fd);
+  });
+
+  LoadgenConfig lg;
+  lg.socket_path = path;
+  lg.clients = 1;
+  lg.requests_per_client = 2;
+  lg.inflight_per_client = 2;  // both requests outstanding at the bad frame
+  const LoadgenReport report = run_loadgen(lg);
+  peer.join();
+  ::close(listen_fd);
+
+  EXPECT_EQ(report.completed, 0u);
+  EXPECT_EQ(report.rejected, 0u);
+  EXPECT_EQ(report.errors, lg.requests_per_client);
 }
 
 }  // namespace

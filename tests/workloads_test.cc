@@ -3,6 +3,8 @@
 // (the runners assert internally), and is deterministic per seed.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/profile.h"
 #include "workloads/workloads.h"
 
@@ -60,6 +62,11 @@ TEST(TextScale, MonotonicAndClamped) {
   EXPECT_LT(mid.num_words, full.num_words);
   EXPECT_LE(mid.vocabulary, full.vocabulary);
   EXPECT_THROW(detail::text_scale(0.0), ContractViolation);
+  // A word count past uint64_t (or a non-finite scale) is refused, not
+  // converted: the double→integer cast would be undefined behaviour.
+  EXPECT_THROW(detail::text_scale(1e300), ContractViolation);
+  EXPECT_THROW(detail::text_scale(HUGE_VAL), ContractViolation);
+  EXPECT_THROW(detail::text_scale(std::nan("")), ContractViolation);
 }
 
 // One parameterized smoke per workload: runs the real pipeline at tiny scale

@@ -12,7 +12,7 @@
 //                   [--units LIST | -n N [--stratified]]
 //   simprof verify  [--cases N] [--seed N] [--resamples N] [--skip-lab]
 //   simprof report  <base.json> <new.json> | <manifest-dir>
-//   simprof serve   --socket PATH [--tickets-max N] [--fixed] ...
+//   simprof serve   --socket PATH [--max-queue N] [--client-inflight N] ...
 //   simprof loadgen --socket PATH [--clients N] [--requests N] ...
 //   simprof --version
 //
@@ -20,7 +20,8 @@
 //   --threads N       worker count for the parallel engines: phase
 //                     formation and the batched lab pipeline (`sensitivity`
 //                     profiles its training + reference inputs as one
-//                     lab.run_batch). Default: hardware_concurrency;
+//                     lab.run_batch), and the `serve` daemon's fixed
+//                     request-worker pool. Default: hardware_concurrency;
 //                     results bit-identical for any N.
 //   --checkpoint-dir DIR
 //                     root for sampling-unit checkpoint archives (default:
@@ -94,8 +95,9 @@ struct FlagSpec {
 
 const std::vector<FlagSpec> kGlobalFlags = {
     {"threads", "N",
-     "worker threads for phase formation and batched lab runs "
-     "(0 = hardware; output bit-identical for any N)"},
+     "worker threads for phase formation, batched lab runs and the "
+     "serve daemon's request workers (0 = hardware; output "
+     "bit-identical for any N)"},
     {"checkpoint-dir", "DIR",
      "checkpoint archive root (default $SIMPROF_CHECKPOINT_DIR or "
      "<cache>/ckpt)"},
@@ -203,24 +205,18 @@ const std::vector<CommandSpec> kCommands = {
     {"serve",
      "",
      "run the resident profiling daemon on a Unix socket: shared lab "
-     "cache, request queue, per-client quotas and throughput-probing "
-     "admission control (SIGINT/SIGTERM drains and exits cleanly)",
+     "cache, request queue, per-client quotas and a fixed pool of "
+     "--threads workers (SIGINT/SIGTERM drains and exits cleanly)",
      {{"socket", "PATH", "Unix-domain socket path to listen on (required)"},
       {"max-queue", "N", "request queue capacity (default 64)"},
       {"client-inflight", "N",
        "per-connection in-flight request quota (default 8)"},
-      {"tickets", "N", "initial admitted concurrency (default 2)"},
-      {"tickets-min", "N", "admission floor (default 1)"},
-      {"tickets-max", "N", "admission ceiling / worker count (default 16)"},
-      {"fixed", "",
-       "pin concurrency to --tickets instead of throughput probing"},
-      {"probe-interval-ms", "MS", "probe window length (default 200)"},
       {"stream-retain-cap", "N",
        "hard cap on a streaming request's retained units — the per-client "
        "memory quota (default 0 = uncapped)"},
       {"request-threads", "N",
        "threads each request's lab/analysis may use (default 1; "
-       "concurrency comes from admission tickets)"}}},
+       "concurrency comes from the --threads worker pool)"}}},
     {"loadgen",
      "",
      "closed-loop load generator against a running daemon; prints QPS, "
@@ -1094,26 +1090,16 @@ int cmd_serve(const Args& args) {
   try {
     cfg.max_queue = std::stoull(args.opt("max-queue", "64"));
     cfg.client_max_inflight = std::stoull(args.opt("client-inflight", "8"));
-    cfg.admission.initial_concurrency = std::stoull(args.opt("tickets", "2"));
-    cfg.admission.min_concurrency = std::stoull(args.opt("tickets-min", "1"));
-    cfg.admission.max_concurrency = std::stoull(args.opt("tickets-max", "16"));
-    cfg.admission.probe_interval_ms = static_cast<std::uint32_t>(
-        std::stoul(args.opt("probe-interval-ms", "200")));
     cfg.stream_retain_cap = std::stoull(args.opt("stream-retain-cap", "0"));
     cfg.request_threads = std::stoull(args.opt("request-threads", "1"));
   } catch (const std::exception&) {
     std::cerr << "error: serve flags expect non-negative integers\n";
     return 2;
   }
-  cfg.fixed_concurrency = args.has("fixed");
-
-  obs::ledger().set_config("socket", cfg.socket_path);
-  obs::ledger().set_config("tickets_max",
-                           std::to_string(cfg.admission.max_concurrency));
-  obs::ledger().set_config("admission",
-                           cfg.fixed_concurrency ? "fixed" : "probing");
 
   service::ServiceServer server(cfg);
+  obs::ledger().set_config("socket", cfg.socket_path);
+  obs::ledger().set_config("workers", std::to_string(server.config().workers));
   // Published before start() so a signal landing between the bind and the
   // first accept still drains: a stop requested before start() makes the
   // listener and workers exit at once and wait() return.
@@ -1124,11 +1110,9 @@ int cmd_serve(const Args& args) {
     g_serve_instance.store(nullptr, std::memory_order_release);
     throw;
   }
-  std::cout << "serving on " << cfg.socket_path
-            << " (tickets " << cfg.admission.min_concurrency << ".."
-            << cfg.admission.max_concurrency << ", "
-            << (cfg.fixed_concurrency ? "fixed" : "probing")
-            << "; SIGINT/SIGTERM drains and exits)\n"
+  std::cout << "serving on " << cfg.socket_path << " ("
+            << server.config().workers
+            << " workers; SIGINT/SIGTERM drains and exits)\n"
             << std::flush;
   server.wait();  // blocks until the signal watcher requests the drain
   g_serve_instance.store(nullptr, std::memory_order_release);
@@ -1149,7 +1133,7 @@ int cmd_serve(const Args& args) {
   std::cout << "served " << stats.completed << " requests ("
             << stats.rejected << " rejected, " << stats.errors
             << " errors) in " << Table::num(stats.uptime_sec, 1)
-            << "s; final admission level " << stats.admission_level << '\n';
+            << "s with " << stats.admission_level << " workers\n";
   return 0;
 }
 
