@@ -26,25 +26,61 @@ namespace {
 /// Process-wide per-cache-key locks: two concurrent runs of the same
 /// configuration — from one batch, two labs, or two threads — serialize
 /// here, so the oracle pass runs exactly once and the .tmp/rename publish
-/// path is never raced. Entries live for the process (the key space is
-/// bounded by the distinct configurations touched).
+/// path is never raced. A key's entry lives only while some caller holds or
+/// waits on it, so a long-lived daemon's map is bounded by the
+/// configurations in flight, not by every configuration it ever ran
+/// (gauge lab.flight_keys).
 class SingleFlight {
  public:
-  std::shared_ptr<std::mutex> lock_for(const std::string& key) {
-    std::lock_guard<std::mutex> g(mu_);
-    auto& slot = locks_[key];
-    if (!slot) slot = std::make_shared<std::mutex>();
-    return slot;
-  }
+  /// Holds one key's lock for its lifetime.
+  class Hold {
+   public:
+    explicit Hold(std::string key)
+        : key_(std::move(key)), lock_(instance().acquire(key_)) {
+      lock_->lock();
+    }
+    ~Hold() {
+      lock_->unlock();
+      instance().release(key_, std::move(lock_));
+    }
+    Hold(const Hold&) = delete;
+    Hold& operator=(const Hold&) = delete;
 
+   private:
+    std::string key_;
+    std::shared_ptr<std::mutex> lock_;
+  };
+
+ private:
   static SingleFlight& instance() {
     static SingleFlight sf;
     return sf;
   }
 
- private:
+  std::shared_ptr<std::mutex> acquire(const std::string& key) {
+    std::lock_guard<std::mutex> g(mu_);
+    auto& slot = locks_[key];
+    if (!slot) slot = std::make_shared<std::mutex>();
+    keys_.set(static_cast<double>(locks_.size()));
+    return slot;
+  }
+
+  /// Drops the caller's reference under mu_ — every copy is made and
+  /// dropped under mu_, so use_count() is exact here — and erases the entry
+  /// once the map holds the last one: nobody holds or waits on the key.
+  void release(const std::string& key, std::shared_ptr<std::mutex> lock) {
+    std::lock_guard<std::mutex> g(mu_);
+    lock.reset();
+    const auto it = locks_.find(key);
+    if (it != locks_.end() && it->second.use_count() == 1) {
+      locks_.erase(it);
+      keys_.set(static_cast<double>(locks_.size()));
+    }
+  }
+
   std::mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<std::mutex>> locks_;
+  obs::Gauge& keys_ = obs::metrics().gauge("lab.flight_keys");
 };
 
 /// Run the stale-checkpoint sweep at most once per root per process —
@@ -215,11 +251,9 @@ LabRun WorkloadLab::run_config(const std::string& workload_name,
   // Single-flight the oracle pass per cache key. The lock covers the
   // re-check, the run and the publish, so a concurrent caller either waits
   // and decodes the published profile (a dedup) or is the one runner.
-  std::shared_ptr<std::mutex> key_lock;
-  std::unique_lock<std::mutex> flight;
+  std::optional<SingleFlight::Hold> flight;
   if (cfg_.use_cache) {
-    key_lock = SingleFlight::instance().lock_for(path);
-    flight = std::unique_lock<std::mutex>(*key_lock);
+    flight.emplace(path);
     if (auto r = try_load_cached(path, workload_name, graph_input)) {
       dedup.increment();
       SIMPROF_LOG(kDebug) << "lab: single-flight dedup " << workload_name

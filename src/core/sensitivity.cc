@@ -93,6 +93,10 @@ SensitivityReport input_sensitivity_test(
     const std::vector<std::string>& reference_names, double threshold) {
   SIMPROF_EXPECTS(references.size() == reference_names.size(),
                   "reference name/profile count mismatch");
+  // Every Eq. 6 comparison against a NaN threshold is false, so a NaN would
+  // silently report "0 sensitive"; a negative one flags every phase.
+  SIMPROF_EXPECTS(std::isfinite(threshold) && threshold >= 0.0,
+                  "sensitivity threshold must be finite and non-negative");
   obs::ObsSpan span("sensitivity.input_test",
                     {{"k", trained.k}, {"references", references.size()}});
   static obs::Counter& tests = obs::metrics().counter("sensitivity.tests");

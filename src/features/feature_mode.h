@@ -4,7 +4,7 @@
 // The oracle pass attaches one hw::MavBlock to every sampling unit (reuse-
 // distance histogram + per-level access mix, see hw/mav.h). This library
 // turns those raw counters into feature columns that plug into the existing
-// CSR pipeline (core::unit_feature_entries and the matrix builders) under
+// CSR pipeline (core::build_sparse_feature_matrix and its dense twin) under
 // three modes:
 //
 //   kFreq      — method-frequency features only: bitwise the historical
@@ -14,15 +14,15 @@
 //                level slots, each histogram block normalized by its own
 //                total so blocks carry equal mass regardless of access count.
 //   kCombined  — MAV columns first at [0, kMavDim), method columns shifted
-//                up by kMavDim. MAV-first is load-bearing: the streaming
-//                former grows the method space in place by appending columns
-//                at the end of the CSR rows, which only works if the
-//                fixed-width MAV block never moves.
+//                up by kMavDim. The layout is kept for model and fixture
+//                stability: the fixed-width MAV block sits at the same
+//                columns in every profile, so selected column indices and
+//                recorded kCombined results never shift.
 //
 // Per-entry values are chosen so that L1-row-normalization commutes with
 // column selection: renormalizing any selected subset of a row equals
 // renormalizing the same subset of the raw entries. That invariance is what
-// lets vectorize_unit / streaming classification accumulate raw per-entry
+// lets vectorize_unit / vectorize_units accumulate raw per-entry
 // values and renormalize over the selected features only, in every mode.
 #pragma once
 

@@ -39,8 +39,6 @@ void ProfileRequest::write(BinaryWriter& w) const {
   w.u8(analyze);
   w.u64(sample_n);
   w.u8(want_profile_bytes);
-  w.u8(stream);
-  w.u64(stream_retain);
   w.u8(features);
 }
 
@@ -53,8 +51,6 @@ ProfileRequest ProfileRequest::read(BinaryReader& r) {
   q.analyze = r.u8();
   q.sample_n = r.u64();
   q.want_profile_bytes = r.u8();
-  q.stream = r.u8();
-  q.stream_retain = r.u64();
   q.features = r.u8();
   return q;
 }
@@ -86,26 +82,6 @@ ProfileResult ProfileResult::read(BinaryReader& r) {
   v.weights = r.vec_f64();
   v.profile_bytes = r.str();
   v.features = r.u8();
-  return v;
-}
-
-void StreamUpdate::write(BinaryWriter& w) const {
-  w.u64(recluster);
-  w.u64(units_ingested);
-  w.u64(units_retained);
-  w.u64(phase_count);
-  w.f64(estimated_cpi);
-  w.vec_u64(selected_units);
-}
-
-StreamUpdate StreamUpdate::read(BinaryReader& r) {
-  StreamUpdate v;
-  v.recluster = r.u64();
-  v.units_ingested = r.u64();
-  v.units_retained = r.u64();
-  v.phase_count = r.u64();
-  v.estimated_cpi = r.f64();
-  v.selected_units = r.vec_u64();
   return v;
 }
 

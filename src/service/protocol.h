@@ -8,11 +8,10 @@
 //
 // Requests flow client → server; the server answers every request with
 // exactly one kResponse frame echoing the request_id (status + message +
-// kind-specific result body on kOk). Streaming profile requests may emit
-// any number of kStreamUpdate frames for the same request_id *before* the
-// final kResponse — interim simulation-point selections from the
-// StreamingPhaseFormer's update hook, so a client can start consuming
-// selections while ingestion is still running.
+// kind-specific result body on kOk). A body that does not decode to
+// exactly the request's shape — short, or with trailing bytes — is answered
+// kBadRequest, so a peer speaking another body layout cannot be silently
+// half-understood.
 //
 // Robustness: frames are bounded (kMaxFrameBytes) and decoded with the
 // bounded BinaryReader, so a malformed or hostile peer can make a read
@@ -37,7 +36,13 @@ inline constexpr std::uint32_t kProtocolMagic = 0x43525053;  // "SPRC"
 /// selection is Neyman-allocated stratified sampling (simprof_sample). The
 /// body layout changed, so a peer of any other version is refused at the
 /// header.
-inline constexpr std::uint32_t kProtocolVersion = 3;
+/// v4: ProfileRequest loses its two streaming fields (the stream flag and
+/// its retained-unit cap) and the interim-selection frame kind (7) is
+/// retired, because phases are formed only in batch over the finished
+/// profile — a streamed selection reached the client no earlier than the
+/// final reply. Kind 7 stays unassigned so a v3 frame of that kind is an
+/// unknown kind, never a different message.
+inline constexpr std::uint32_t kProtocolVersion = 4;
 /// Frame payload cap — a profile blob for the largest lab run is well under
 /// this; anything bigger is a corrupt or hostile length prefix.
 inline constexpr std::uint64_t kMaxFrameBytes = 256ull << 20;
@@ -49,7 +54,7 @@ enum class MsgKind : std::uint32_t {
   kSensitivityRequest = 4,
   kMeasureRequest = 5,
   kStatsRequest = 6,
-  kStreamUpdate = 7,
+  // 7 is retired (v3's interim-selection frame); never reuse it.
   kResponse = 8,
 };
 
@@ -76,10 +81,7 @@ struct MessageHeader {
 
 /// Profile request: run (workload, input, scale, seed) through the lab
 /// (cached + single-flighted), optionally form phases and select `sample_n`
-/// simulation points. `stream` routes analysis through a per-request
-/// StreamingPhaseFormer whose `stream_retain` bounds retained units (the
-/// per-client memory quota; 0 = retain all) and whose recluster hook sends
-/// kStreamUpdate frames. `want_profile_bytes` returns the exact
+/// simulation points. `want_profile_bytes` returns the exact
 /// ThreadProfile::save blob for bit-identity checks against the one-shot
 /// CLI.
 struct ProfileRequest {
@@ -90,8 +92,6 @@ struct ProfileRequest {
   std::uint8_t analyze = 1;
   std::uint64_t sample_n = 8;
   std::uint8_t want_profile_bytes = 0;
-  std::uint8_t stream = 0;
-  std::uint64_t stream_retain = 0;
   /// features::FeatureMode for phase formation (v2). The oracle pass and
   /// its cache key are mode-independent — distinct modes over the same
   /// workload config still dedup into one lab run; only the analysis
@@ -117,20 +117,6 @@ struct ProfileResult {
 
   void write(BinaryWriter& w) const;
   static ProfileResult read(BinaryReader& r);
-};
-
-/// Interim selection emitted after each recluster of a streaming profile
-/// request, before the final response.
-struct StreamUpdate {
-  std::uint64_t recluster = 0;
-  std::uint64_t units_ingested = 0;
-  std::uint64_t units_retained = 0;
-  std::uint64_t phase_count = 0;
-  double estimated_cpi = 0.0;
-  std::vector<std::uint64_t> selected_units;
-
-  void write(BinaryWriter& w) const;
-  static StreamUpdate read(BinaryReader& r);
 };
 
 /// Input-sensitivity request: train on `workload`, classify each reference

@@ -5,13 +5,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <optional>
 #include <sstream>
 
 #include "core/phase.h"
 #include "core/sampling.h"
 #include "core/sensitivity.h"
-#include "core/streaming.h"
 #include "features/feature_mode.h"
 #include "obs/obs.h"
 #include "support/assert.h"
@@ -39,7 +37,6 @@ struct SvcMetrics {
       obs::metrics().counter("svc.rejected.shutdown");
   obs::Counter& bad_request = obs::metrics().counter("svc.bad_request");
   obs::Counter& completed = obs::metrics().counter("svc.completed");
-  obs::Counter& stream_updates = obs::metrics().counter("svc.stream_updates");
   obs::QuantileHistogram& queue_wait_ms =
       obs::metrics().quantile_histogram("svc.queue_wait_ms");
   obs::QuantileHistogram& request_ms =
@@ -226,6 +223,14 @@ void ServiceServer::handle_frame(const std::shared_ptr<Connection>& conn,
           body = SensitivityRequest::read(r);
         } else {
           body = MeasureRequest::read(r);
+        }
+        // A body must decode to exactly the request's shape: trailing bytes
+        // mean the peer speaks another layout, and half-reading it would
+        // silently serve the wrong request.
+        if (r.remaining() != 0) {
+          throw SerializeError("service frame: " +
+                               std::to_string(r.remaining()) +
+                               " trailing bytes after request body");
         }
       } catch (const SerializeError& e) {
         svc_metrics().bad_request.increment();
@@ -425,60 +430,18 @@ void ServiceServer::run_profile(QueuedRequest& req, const ProfileRequest& q) {
     core::PhaseFormationConfig fc;
     fc.features = feature_mode;
     fc.threads = cfg_.request_threads;
-    core::PhaseModel model;
-    const core::ThreadProfile* sample_profile = &profile;
-    std::optional<core::StreamingPhaseFormer> former;
-    if (q.stream) {
-      core::StreamingConfig sc;
-      sc.formation = fc;
-      std::size_t retain = static_cast<std::size_t>(q.stream_retain);
-      if (cfg_.stream_retain_cap > 0) {
-        retain = retain == 0 ? cfg_.stream_retain_cap
-                             : std::min(retain, cfg_.stream_retain_cap);
-      }
-      sc.max_retained_units = retain;
-      former.emplace(sc);
-      former->set_update_hook([&](const core::StreamingPhaseFormer& f) {
-        StreamUpdate u;
-        u.recluster = f.reclusters();
-        u.units_ingested = f.units_ingested();
-        u.units_retained = f.units_retained();
-        u.phase_count = f.model().k;
-        if (q.sample_n > 0 && f.units_retained() > 0) {
-          const auto n = std::min<std::size_t>(
-              static_cast<std::size_t>(q.sample_n), f.units_retained());
-          const auto plan =
-              core::simprof_sample(f.profile(), f.model(), n, q.seed);
-          u.estimated_cpi = plan.estimated_cpi;
-          u.selected_units.reserve(plan.points.size());
-          for (const auto& p : plan.points) {
-            u.selected_units.push_back(f.profile().units[p.unit_index].unit_id);
-          }
-        }
-        stream_updates_.fetch_add(1, std::memory_order_relaxed);
-        svc_metrics().stream_updates.increment();
-        send_payload(req.conn,
-                     pack_message(MsgKind::kStreamUpdate, req.header.request_id,
-                                  [&](BinaryWriter& w) { u.write(w); }));
-      });
-      former->ingest_range(profile, 0, profile.num_units());
-      model = former->finalize();
-      sample_profile = &former->profile();
-    } else {
-      model = core::form_phases(profile, fc);
-    }
+    const core::PhaseModel model = core::form_phases(profile, fc);
     res.phase_count = model.k;
-    if (q.sample_n > 0 && sample_profile->num_units() > 0) {
+    if (q.sample_n > 0) {
       const auto n = std::min<std::size_t>(
-          static_cast<std::size_t>(q.sample_n), sample_profile->num_units());
-      const auto plan = core::simprof_sample(*sample_profile, model, n, q.seed);
+          static_cast<std::size_t>(q.sample_n), profile.num_units());
+      const auto plan = core::simprof_sample(profile, model, n, q.seed);
       res.estimated_cpi = plan.estimated_cpi;
       res.standard_error = plan.standard_error;
       res.selected_units.reserve(plan.points.size());
       res.weights.reserve(plan.points.size());
       for (const auto& p : plan.points) {
-        res.selected_units.push_back(
-            sample_profile->units[p.unit_index].unit_id);
+        res.selected_units.push_back(profile.units[p.unit_index].unit_id);
         res.weights.push_back(p.weight);
       }
     }
@@ -555,7 +518,6 @@ ServerStats ServiceServer::stats() const {
   s.rejected = s.rejected_quota + s.rejected_queue_full + s.rejected_shutdown;
   s.completed = completed_.load(std::memory_order_relaxed);
   s.errors = errors_.load(std::memory_order_relaxed);
-  s.stream_updates = stream_updates_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
     s.queue_depth = queue_.size();

@@ -16,11 +16,10 @@
 //           │ WorkloadLab::run_batch — concurrent identical configs collapse
 //           ▼ to ONE oracle pass via the lab's single-flight (lab.batch_dedup)
 //
-// Per-client quotas: at most client_max_inflight queued+running requests
-// per connection, and streaming requests run their StreamingPhaseFormer
-// with max_retained_units capped by stream_retain_cap — the per-client
-// memory bound. Interim selections stream back as kStreamUpdate frames
-// from the former's update hook, before the final response.
+// Per-client quota: at most client_max_inflight queued+running requests
+// per connection. Every analysed profile request forms its phases with one
+// batch core::form_phases over the finished profile and answers with
+// exactly one kResponse frame.
 //
 // Determinism: request execution is a pure function of the request (the
 // lab cache key covers every parameter), so daemon results are bit-identical
@@ -59,9 +58,6 @@ struct ServiceConfig {
   std::size_t max_queue = 64;
   /// Per-connection cap on queued+running requests; beyond it, kOverQuota.
   std::size_t client_max_inflight = 8;
-  /// Hard cap a streaming request's max_retained_units is clamped to (the
-  /// per-client memory quota; 0 lets clients retain everything).
-  std::size_t stream_retain_cap = 0;
   /// Threads each request's lab/analysis stages may use. 1 keeps requests
   /// independent (concurrency comes from the worker pool); >1 funnels
   /// concurrent requests through the shared pool's job queue.
@@ -76,7 +72,6 @@ struct ServerStats {
   std::uint64_t rejected_shutdown = 0;
   std::uint64_t completed = 0;
   std::uint64_t errors = 0;          ///< non-ok responses to accepted work
-  std::uint64_t stream_updates = 0;
   std::size_t queue_depth = 0;
   std::size_t inflight = 0;
   std::size_t admission_level = 0;  ///< the worker count
@@ -167,7 +162,6 @@ class ServiceServer {
   std::atomic<std::uint64_t> rejected_shutdown_{0};
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> stream_updates_{0};
 };
 
 }  // namespace simprof::service

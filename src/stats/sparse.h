@@ -38,21 +38,6 @@ class SparseMatrix {
   void append_row(std::span<const std::uint32_t> cols,
                   std::span<const double> vals);
 
-  /// Streaming builder form: append a row to a matrix whose final shape is
-  /// not known up front — rows() grows by one and cols() widens to cover
-  /// the highest referenced column. `cols` must still be strictly
-  /// increasing. Entries land in the same CSR arrays as append_row, so a
-  /// matrix grown row-by-row is indistinguishable from one declared with
-  /// the final shape and filled with append_row.
-  void append_row_grow(std::span<const std::uint32_t> cols,
-                       std::span<const double> vals);
-
-  /// Widen the column space (no entries added) — the streaming former calls
-  /// this when the method table grows past the widest stored row, so the
-  /// snapshot it clusters covers every method seen so far. Shrinking is a
-  /// contract violation.
-  void grow_cols(std::size_t cols);
-
   /// How many rows have been appended so far.
   std::size_t rows_filled() const { return row_ptr_.size() - 1; }
 

@@ -1,6 +1,7 @@
 // WorkloadLab::run_batch: bit-identity with serial run() calls for any
 // thread count, duplicate-key dedup, cache-aware hit/miss scheduling, and
-// single-flight serialization of concurrent same-key runs. Plus
+// single-flight serialization of concurrent same-key runs, whose per-key
+// lock entries are erased once released. Plus
 // measure_units: checkpoint-restored measurement of selected units is
 // bit-identical to the oracle pass, with and without archives, at any
 // worker-thread count, and falls back to exact re-execution on corruption.
@@ -189,6 +190,52 @@ TEST(LabSingleFlight, ConcurrentSameKeyRunsOracleOnce) {
   for (std::size_t i = 1; i < kCallers; ++i) {
     EXPECT_EQ(bytes[i], bytes[0]) << "caller " << i;
   }
+}
+
+TEST(LabSingleFlight, KeyLocksAreErasedOnceReleased) {
+  ScratchDir dir;
+  LabConfig cfg = small_lab(dir.c_str());
+  cfg.use_cache = true;
+  cfg.checkpoint_stride = 0;
+  WorkloadLab lab(cfg);
+  obs::Gauge& keys = obs::metrics().gauge("lab.flight_keys");
+
+  // Eight distinct configurations, one after another: each key's entry is
+  // gone once its run returns, so the map does not grow with history.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    lab.run_batch({{"grep_sp", "Google", seed}});
+  }
+  EXPECT_EQ(keys.value(), 0.0);
+
+  // Erasing released keys must not weaken the single flight: a concurrent
+  // same-key pair still runs one oracle pass, and the waiter dedups inside
+  // the key lock. A waiter that arrives after the publish takes the
+  // unlocked cache-hit path instead, so retry on fresh keys until a pair
+  // overlaps (the oracle pass dwarfs thread start-up; one pair suffices in
+  // practice).
+  bool deduped = false;
+  for (std::uint64_t seed = 100; seed < 104 && !deduped; ++seed) {
+    const std::uint64_t misses0 = counter_value("lab.cache_misses");
+    const std::uint64_t dedup0 = counter_value("lab.batch_dedup");
+    std::string bytes[2];
+    std::thread a([&] {
+      bytes[0] = profile_bytes(lab.run_batch({{"grep_sp", "Google", seed}})
+                                   .front()
+                                   .profile);
+    });
+    std::thread b([&] {
+      bytes[1] = profile_bytes(lab.run_batch({{"grep_sp", "Google", seed}})
+                                   .front()
+                                   .profile);
+    });
+    a.join();
+    b.join();
+    EXPECT_EQ(counter_value("lab.cache_misses") - misses0, 1u);
+    EXPECT_EQ(bytes[0], bytes[1]);
+    EXPECT_EQ(keys.value(), 0.0);
+    deduped = counter_value("lab.batch_dedup") - dedup0 == 1;
+  }
+  EXPECT_TRUE(deduped);
 }
 
 bool same_counters(const hw::PmuCounters& a, const hw::PmuCounters& b) {

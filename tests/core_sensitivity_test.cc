@@ -3,6 +3,8 @@
 // mean/stddev 10% rule, and report accumulation across references.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/sensitivity.h"
 #include "support/assert.h"
 #include "test_util.h"
@@ -153,6 +155,20 @@ TEST(Report, MismatchedNamesThrow) {
                ContractViolation);
   EXPECT_THROW(input_sensitivity_test(model, {nullptr}, {"a"}),
                ContractViolation);
+}
+
+TEST(Report, NonFiniteOrNegativeThresholdIsRejected) {
+  auto train = synthetic_profile({{20, 1.0, 0.05, 1}, {20, 2.0, 0.05, 2}});
+  const auto model = form_phases(train);
+  auto ref = synthetic_profile({{20, 1.5, 0.05, 1}, {20, 2.0, 0.05, 2}});
+  for (const double t : {std::numeric_limits<double>::quiet_NaN(), -0.1,
+                         std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(input_sensitivity_test(model, {&ref}, {"ref"}, t),
+                 ContractViolation)
+        << "threshold " << t;
+  }
+  // The boundary itself is a valid (maximally strict) threshold.
+  EXPECT_NO_THROW(input_sensitivity_test(model, {&ref}, {"ref"}, 0.0));
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // ServiceServer driven over a real Unix socket — bit-identity with the
 // one-shot lab, N concurrent same-config clients collapsing to one oracle
 // pass, typed over-quota / queue-full / shutting-down / bad-request
-// rejections, per-request stream updates under the retention quota, the
+// rejections (including mis-shaped bodies and retired message kinds), the
 // worker-pool size, graceful drain, and a loadgen that survives a
 // truncated reply.
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -86,8 +87,6 @@ TEST(ServiceProtocol, ProfileMessagesRoundTrip) {
   q.analyze = 0;
   q.sample_n = 3;
   q.want_profile_bytes = 1;
-  q.stream = 1;
-  q.stream_retain = 77;
   q.features = 2;  // combined
   const ProfileRequest q2 = roundtrip(q);
   EXPECT_EQ(q2.workload, q.workload);
@@ -97,8 +96,6 @@ TEST(ServiceProtocol, ProfileMessagesRoundTrip) {
   EXPECT_EQ(q2.analyze, q.analyze);
   EXPECT_EQ(q2.sample_n, q.sample_n);
   EXPECT_EQ(q2.want_profile_bytes, q.want_profile_bytes);
-  EXPECT_EQ(q2.stream, q.stream);
-  EXPECT_EQ(q2.stream_retain, q.stream_retain);
   EXPECT_EQ(q2.features, q.features);
 
   ProfileResult res;
@@ -120,18 +117,6 @@ TEST(ServiceProtocol, ProfileMessagesRoundTrip) {
   EXPECT_EQ(res2.profile_bytes, res.profile_bytes);
   EXPECT_EQ(res2.oracle_cpi, res.oracle_cpi);
   EXPECT_EQ(res2.features, res.features);
-
-  StreamUpdate u;
-  u.recluster = 4;
-  u.units_ingested = 120;
-  u.units_retained = 50;
-  u.phase_count = 2;
-  u.estimated_cpi = 0.9;
-  u.selected_units = {1, 2, 3};
-  const StreamUpdate u2 = roundtrip(u);
-  EXPECT_EQ(u2.recluster, u.recluster);
-  EXPECT_EQ(u2.units_retained, u.units_retained);
-  EXPECT_EQ(u2.selected_units, u.selected_units);
 }
 
 TEST(ServiceProtocol, SensitivityMeasureStatsRoundTrip) {
@@ -180,9 +165,11 @@ TEST(ServiceProtocol, HeaderValidatesMagicAndVersion) {
   BinaryReader br(bis);
   EXPECT_THROW(read_header(br), SerializeError);
 
-  // Any other version — including v2, whose ProfileRequest still carried
-  // the estimator byte — is refused at the header.
-  for (const std::uint32_t v : {kProtocolVersion - 1, kProtocolVersion + 1}) {
+  // Any other version is refused at the header — including v3, whose
+  // ProfileRequest still carried the two streaming fields, and v2, whose
+  // ProfileRequest carried the estimator byte.
+  EXPECT_EQ(kProtocolVersion, 4u);
+  for (const std::uint32_t v : {2u, 3u, kProtocolVersion + 1}) {
     std::string old = ok;
     for (int i = 0; i < 4; ++i) old[4 + i] = static_cast<char>(v >> (8 * i));
     std::istringstream vis(old);
@@ -453,33 +440,64 @@ TEST(ServiceServer, OverflowingScaleIsABadRequest) {
   EXPECT_EQ(server.stats().errors, 1u);
 }
 
-TEST(ServiceServer, StreamingProfileSendsInterimSelections) {
+/// Send one raw frame on `fd` and read frames until the kResponse for
+/// `request_id`; returns its status and message.
+std::pair<Status, std::string> raw_call(int fd, const std::string& frame,
+                                        std::uint64_t request_id) {
+  if (!write_frame(fd, frame)) return {Status::kInternalError, "send failed"};
+  std::string payload;
+  while (read_frame(fd, payload)) {
+    std::istringstream is(payload);
+    BinaryReader r(is);
+    const MessageHeader h = read_header(r);
+    if (h.kind != MsgKind::kResponse || h.request_id != request_id) continue;
+    const auto status = static_cast<Status>(r.u32());
+    return {status, r.str()};
+  }
+  return {Status::kInternalError, "connection closed"};
+}
+
+TEST(ServiceServer, MisShapedBodiesAndRetiredKindsAreBadRequests) {
   ScratchDir dir;
   ServiceConfig cfg = small_service(dir);
-  cfg.stream_retain_cap = 12;  // per-client memory quota, below the 18 units
   ServiceServer server(cfg);
   server.start();
+  const int fd = connect_unix(cfg.socket_path);
 
   ProfileRequest q;
   q.workload = "grep_sp";
-  q.stream = 1;
-  q.stream_retain = 64;  // asks high; the server clamps to its cap
-  q.sample_n = 4;
-  std::vector<StreamUpdate> updates;
-  ServiceClient client(cfg.socket_path);
-  const auto reply = client.profile(
-      q, [&](const StreamUpdate& u) { updates.push_back(u); });
+  // A valid profile body followed by 9 junk bytes — the size of v3's two
+  // streaming fields (u8 flag + u64 cap) — is refused, never half-read.
+  const auto trailing = raw_call(
+      fd,
+      pack_message(MsgKind::kProfileRequest, 1,
+                   [&](BinaryWriter& w) {
+                     q.write(w);
+                     for (int i = 0; i < 9; ++i) w.u8(0xA5);
+                   }),
+      1);
+  EXPECT_EQ(trailing.first, Status::kBadRequest);
+  EXPECT_NE(trailing.second.find("trailing"), std::string::npos)
+      << trailing.second;
+
+  // Kind 7 (v3's interim-selection frame) is retired: an unknown kind.
+  const auto retired =
+      raw_call(fd, pack_message(static_cast<MsgKind>(7), 2), 2);
+  EXPECT_EQ(retired.first, Status::kBadRequest);
+  EXPECT_EQ(retired.second, "unknown message kind");
+
+  // The same connection still serves a well-formed request.
+  const auto ok = raw_call(
+      fd,
+      pack_message(MsgKind::kProfileRequest, 3,
+                   [&](BinaryWriter& w) { q.write(w); }),
+      3);
+  EXPECT_EQ(ok.first, Status::kOk) << ok.second;
+  ::close(fd);
   server.request_stop();
   server.wait();
-
-  ASSERT_EQ(reply.status, Status::kOk) << reply.message;
-  EXPECT_GE(reply.result.phase_count, 1u);
-  ASSERT_FALSE(updates.empty());  // 18 units > 16-unit warmup → ≥1 recluster
-  for (const StreamUpdate& u : updates) {
-    EXPECT_LE(u.units_retained, 12u) << "retention quota exceeded";
-    EXPECT_GE(u.phase_count, 1u);
-  }
-  EXPECT_EQ(server.stats().stream_updates, updates.size());
+  EXPECT_EQ(server.stats().accepted, 1u);
+  EXPECT_EQ(server.stats().completed, 1u);
 }
 
 TEST(ServiceServer, GracefulDrainFinishesInFlightAndRejectsNew) {
@@ -573,10 +591,15 @@ TEST(ServiceServer, MeasureAndSensitivityVerbsWork) {
   ASSERT_EQ(sr.status, Status::kOk) << sr.message;
   EXPECT_GE(sr.result.phases, 1u);
 
+  // A NaN threshold would make every Eq. 6 comparison false and report
+  // "0 sensitive"; the daemon refuses it as a bad request instead.
+  sq.threshold = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(client.sensitivity(sq).status, Status::kBadRequest);
+
   server.request_stop();
   server.wait();
   EXPECT_EQ(server.stats().completed, 3u);
-  EXPECT_EQ(server.stats().errors, 0u);
+  EXPECT_EQ(server.stats().errors, 1u);  // the NaN threshold
 }
 
 // ---------------------------------------------------------------------------

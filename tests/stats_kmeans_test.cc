@@ -313,58 +313,6 @@ TEST(FRegression, SingleSurvivingColumnScoresDefined) {
   EXPECT_EQ(top_k_indices(scores, 5), (std::vector<std::size_t>{0}));
 }
 
-TEST(MiniBatchKMeans, MovesCentersWithPerCenterLearningRate) {
-  Matrix centers(2, 1);
-  centers.at(0, 0) = 0.0;
-  centers.at(1, 0) = 10.0;
-  MiniBatchKMeans mb(centers);  // counts default to 1
-
-  Matrix batch(3, 1);
-  batch.at(0, 0) = 1.0;
-  batch.at(1, 0) = 1.0;
-  batch.at(2, 0) = 9.0;
-  const auto labels = mb.partial_fit(batch, 1);
-  EXPECT_EQ(labels, (std::vector<std::size_t>{0, 0, 1}));
-
-  // Center 0 sees two pulls: 0 → 0 + (1−0)/2 = 0.5 → 0.5 + (1−0.5)/3.
-  EXPECT_DOUBLE_EQ(mb.centers().at(0, 0), 0.5 + (1.0 - 0.5) / 3.0);
-  // Center 1 sees one: 10 → 10 + (9−10)/2.
-  EXPECT_DOUBLE_EQ(mb.centers().at(1, 0), 9.5);
-  EXPECT_EQ(mb.counts(), (std::vector<std::uint64_t>{3, 2}));
-}
-
-TEST(MiniBatchKMeans, BitIdenticalAcrossThreadCounts) {
-  Rng rng(79);
-  Matrix batch = gaussian_blobs({{0, 0}, {8, 8}, {-4, 6}}, 40, 1.0, rng);
-  Matrix centers(3, 2);
-  centers.at(0, 0) = 0.0;
-  centers.at(0, 1) = 0.0;
-  centers.at(1, 0) = 8.0;
-  centers.at(1, 1) = 8.0;
-  centers.at(2, 0) = -4.0;
-  centers.at(2, 1) = 6.0;
-
-  MiniBatchKMeans a(centers), b(centers);
-  const auto la = a.partial_fit(batch, 1);
-  const auto lb = b.partial_fit(batch, 8);
-  EXPECT_EQ(la, lb);
-  const auto fa = a.centers().flat();
-  const auto fb = b.centers().flat();
-  ASSERT_EQ(fa.size(), fb.size());
-  for (std::size_t i = 0; i < fa.size(); ++i) {
-    EXPECT_EQ(fa[i], fb[i]) << "flat index " << i;
-  }
-}
-
-TEST(MiniBatchKMeans, EmptyBatchIsANoOp) {
-  Matrix centers(2, 2);
-  centers.at(1, 0) = 3.0;
-  MiniBatchKMeans mb(centers);
-  Matrix batch(0, 2);
-  EXPECT_TRUE(mb.partial_fit(batch).empty());
-  EXPECT_EQ(mb.counts(), (std::vector<std::uint64_t>{1, 1}));
-}
-
 // Property: k-means inertia never increases when k grows (best-of restarts
 // may fluctuate slightly, so allow a tiny tolerance).
 class KMeansInertia : public ::testing::TestWithParam<std::uint64_t> {};

@@ -70,7 +70,6 @@
 #include "core/phase.h"
 #include "core/sampling.h"
 #include "core/sensitivity.h"
-#include "core/streaming.h"
 #include "data/catalog.h"
 #include "features/feature_mode.h"
 #include "obs/obs.h"
@@ -131,20 +130,7 @@ const std::vector<CommandSpec> kCommands = {
      {{"input", "NAME", "Table II graph input (default Google)"},
       {"scale", "S", "workload scale factor (default 1.0)"},
       {"seed", "N", "simulation seed (default 42)"},
-      {"out", "FILE", "output profile path"},
-      {"stream", "",
-       "feed units through the online phase former in arrival order and "
-       "emit interim stratified selections at every recluster, before "
-       "ingestion finishes"},
-      {"stream-warmup", "N",
-       "units before the first streaming recluster (default 16)"},
-      {"stream-batch", "N",
-       "mini-batch size for streaming center refinement (default 8)"},
-      {"stream-retain", "N",
-       "streaming retention cap in units, 0 = retain all (default 0)"},
-      {"features", "MODE",
-       "feature space for --stream phase formation: freq|mav|combined "
-       "(default freq)"}}},
+      {"out", "FILE", "output profile path"}}},
     {"phases",
      "<profile.sprf>",
      "form phases from a saved profile and print the phase table",
@@ -211,9 +197,6 @@ const std::vector<CommandSpec> kCommands = {
       {"max-queue", "N", "request queue capacity (default 64)"},
       {"client-inflight", "N",
        "per-connection in-flight request quota (default 8)"},
-      {"stream-retain-cap", "N",
-       "hard cap on a streaming request's retained units — the per-client "
-       "memory quota (default 0 = uncapped)"},
       {"request-threads", "N",
        "threads each request's lab/analysis may use (default 1; "
        "concurrency comes from the --threads worker pool)"}}},
@@ -236,9 +219,6 @@ const std::vector<CommandSpec> kCommands = {
        "use seed+i per request so each request is a distinct oracle pass"},
       {"no-analyze", "", "skip phase formation + sampling on the daemon"},
       {"sample", "N", "simulation points per request (default 8)"},
-      {"stream", "", "request streaming analysis with interim selections"},
-      {"stream-retain", "N",
-       "requested streaming retention cap in units (default 0)"},
       {"features", "MODE",
        "feature space for daemon-side analysis: freq|mav|combined "
        "(default freq)"},
@@ -466,8 +446,6 @@ int cmd_profile(const Args& args) {
   cfg.seed = std::stoull(args.opt("seed", "42"));
   cfg.use_cache = false;
   if (!apply_checkpoint_flags(args, cfg)) return 2;
-  features::FeatureMode mode = features::FeatureMode::kFreq;
-  if (!parse_features_arg(args, mode)) return 2;
   core::WorkloadLab lab(cfg);
   const std::string input = args.opt("input", "Google");
   obs::ledger().set_config("workload", workload);
@@ -487,54 +465,6 @@ int cmd_profile(const Args& args) {
             << run.profile.num_methods() << " methods) to " << out
             << "\noracle CPI " << Table::num(run.profile.oracle_cpi(), 4)
             << ", records out " << run.result.records_out << '\n';
-
-  if (args.has("stream")) {
-    // Online path: replay the collected units through the streaming former
-    // in arrival order (standing in for the live unit-boundary hook of a
-    // profiling daemon) and print an interim stratified selection at every
-    // recluster — selections exist long before the last unit is ingested.
-    core::StreamingConfig scfg;
-    scfg.warmup_units = std::stoull(args.opt("stream-warmup", "16"));
-    scfg.refine_batch = std::stoull(args.opt("stream-batch", "8"));
-    scfg.max_retained_units = std::stoull(args.opt("stream-retain", "0"));
-    scfg.formation.features = mode;
-    core::StreamingPhaseFormer former(scfg);
-    former.set_update_hook([&](const core::StreamingPhaseFormer& f) {
-      const std::size_t n = std::min<std::size_t>(16, f.units_retained());
-      const auto plan =
-          core::simprof_sample(f.profile(), f.model(), n, cfg.seed);
-      std::cout << "stream: recluster " << f.reclusters() << " @ "
-                << f.units_ingested() << " units -> k=" << f.model().k
-                << ", interim selection " << plan.sample_size()
-                << " points, est CPI " << Table::num(plan.estimated_cpi, 4)
-                << '\n';
-    });
-    former.ingest_range(run.profile, 0, run.profile.num_units());
-    const core::PhaseModel streamed = former.finalize();
-
-    // Quality figures vs the batch model on the same profile — the manifest
-    // carries both the streamed structure and its distance from batch, so
-    // `simprof report` gates streaming drift across runs.
-    core::PhaseFormationConfig pcfg;
-    pcfg.features = mode;
-    const core::PhaseModel batch = core::form_phases(run.profile, pcfg);
-    const double phase_delta = static_cast<double>(
-        streamed.k > batch.k ? streamed.k - batch.k : batch.k - streamed.k);
-    obs::ledger().set_config("stream", "1");
-    obs::ledger().set_config("features", std::string(features::to_string(mode)));
-    obs::ledger().set_quality("stream_phase_count",
-                              static_cast<double>(streamed.k));
-    if (streamed.k >= 1 && streamed.k <= streamed.silhouette_scores.size()) {
-      obs::ledger().set_quality("stream_silhouette",
-                                streamed.silhouette_scores[streamed.k - 1]);
-    }
-    obs::ledger().set_quality("stream_reclusters",
-                              static_cast<double>(former.reclusters()));
-    obs::ledger().set_quality("stream_batch_phase_delta", phase_delta);
-    std::cout << "stream: final k=" << streamed.k << " after "
-              << former.reclusters() << " reclusters (batch k=" << batch.k
-              << ", delta " << phase_delta << ")\n";
-  }
   return 0;
 }
 
@@ -1090,7 +1020,6 @@ int cmd_serve(const Args& args) {
   try {
     cfg.max_queue = std::stoull(args.opt("max-queue", "64"));
     cfg.client_max_inflight = std::stoull(args.opt("client-inflight", "8"));
-    cfg.stream_retain_cap = std::stoull(args.opt("stream-retain-cap", "0"));
     cfg.request_threads = std::stoull(args.opt("request-threads", "1"));
   } catch (const std::exception&) {
     std::cerr << "error: serve flags expect non-negative integers\n";
@@ -1151,7 +1080,6 @@ int cmd_loadgen(const Args& args) {
     cfg.scale = std::stod(args.opt("scale", "0.05"));
     cfg.seed = std::stoull(args.opt("seed", "42"));
     cfg.sample_n = std::stoull(args.opt("sample", "8"));
-    cfg.stream_retain = std::stoull(args.opt("stream-retain", "0"));
   } catch (const std::exception&) {
     std::cerr << "error: loadgen flags expect numbers\n";
     return 2;
@@ -1163,7 +1091,6 @@ int cmd_loadgen(const Args& args) {
   }
   cfg.input = args.opt("input", "Google");
   cfg.analyze = !args.has("no-analyze");
-  cfg.stream = args.has("stream");
   cfg.vary_seed = args.has("vary-seed");
   features::FeatureMode mode = features::FeatureMode::kFreq;
   if (!parse_features_arg(args, mode)) return 2;
@@ -1186,8 +1113,7 @@ int cmd_loadgen(const Args& args) {
             << cfg.requests_per_client << " requests (inflight "
             << cfg.inflight_per_client << ")\n"
             << "completed " << report.completed << ", rejected "
-            << report.rejected << ", errors " << report.errors
-            << ", stream updates " << report.stream_updates << '\n'
+            << report.rejected << ", errors " << report.errors << '\n'
             << "qps " << Table::num(report.qps, 2) << ", p50 "
             << Table::num(report.p50_ms, 1) << "ms, p90 "
             << Table::num(report.p90_ms, 1) << "ms, p99 "
@@ -1198,7 +1124,6 @@ int cmd_loadgen(const Args& args) {
     out << "{\n  \"completed\": " << report.completed
         << ",\n  \"rejected\": " << report.rejected
         << ",\n  \"errors\": " << report.errors
-        << ",\n  \"stream_updates\": " << report.stream_updates
         << ",\n  \"elapsed_sec\": " << report.elapsed_sec
         << ",\n  \"qps\": " << report.qps
         << ",\n  \"p50_ms\": " << report.p50_ms
