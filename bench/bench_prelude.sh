@@ -9,7 +9,12 @@
 #   BENCH_BUILD_DIR    — the enforced Release tree (default build-release,
 #                        override with SIMPROF_BENCH_BUILD)
 #   SIMPROF_BUILD_TYPE — always "Release" once the checks pass
-#   SIMPROF_GIT_SHA    — short sha of HEAD ("unknown" outside git)
+#   SIMPROF_GIT_SHA    — short sha of HEAD ("unknown" outside git), with a
+#                        "-dirty" suffix when src/, tools/ or bench/ have
+#                        uncommitted changes: the numbers then time a tree
+#                        that no commit names
+#   SIMPROF_NPROC      — `nproc` of the recording host (a thread sweep on
+#                        one CPU is flat and says nothing)
 #
 # bench_build TARGET builds one bench target inside that tree.
 
@@ -32,7 +37,12 @@ fi
 
 SIMPROF_BUILD_TYPE=$bench_build_type
 SIMPROF_GIT_SHA=$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
-export SIMPROF_BUILD_TYPE SIMPROF_GIT_SHA
+if [ "$SIMPROF_GIT_SHA" != unknown ] &&
+   [ -n "$(git status --porcelain -- src tools bench 2>/dev/null)" ]; then
+  SIMPROF_GIT_SHA="$SIMPROF_GIT_SHA-dirty"
+fi
+SIMPROF_NPROC=$(nproc)
+export SIMPROF_BUILD_TYPE SIMPROF_GIT_SHA SIMPROF_NPROC
 
 bench_build() {
   echo "bench: building $1 ($BENCH_BUILD_DIR, $SIMPROF_BUILD_TYPE)" >&2

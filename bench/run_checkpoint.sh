@@ -11,8 +11,9 @@
 #
 # The fold step appends the warm/cold speedup per n and the ckpt.* /
 # lab.fast_forward* metrics snapshot under a "simprof_metrics" key, and
-# stamps build provenance (build_type, git_sha). The headline number is
-# speedup_vs_cold at n ≤ 10, expected ≥ 3× on grep_sp at default scale.
+# stamps build provenance (build_type, git_sha, host_nproc). The headline
+# number is speedup_vs_cold at n ≤ 10, expected ≥ 3× on grep_sp at default
+# scale.
 #
 # Usage: bench/run_checkpoint.sh [extra google-benchmark flags]
 set -e
@@ -38,6 +39,7 @@ trap 'rm -f "$metrics_tmp"' EXIT
   --benchmark_out_format=json \
   --benchmark_context=build_type="$SIMPROF_BUILD_TYPE" \
   --benchmark_context=git_sha="$SIMPROF_GIT_SHA" \
+  --benchmark_context=host_nproc="$SIMPROF_NPROC" \
   "$@"
 
 python3 - "$metrics_tmp" <<'EOF'
@@ -65,6 +67,7 @@ for n in (1, 2, 5, 10):
 
 bench["build_type"] = os.environ.get("SIMPROF_BUILD_TYPE", "unknown")
 bench["git_sha"] = os.environ.get("SIMPROF_GIT_SHA", "unknown")
+bench["host_nproc"] = int(os.environ.get("SIMPROF_NPROC", "0"))
 bench["simprof_metrics"] = {
     "ckpt": ckpt,
     "lab": lab,

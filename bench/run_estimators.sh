@@ -45,6 +45,7 @@ fold = {
 
 bench["build_type"] = os.environ.get("SIMPROF_BUILD_TYPE", "unknown")
 bench["git_sha"] = os.environ.get("SIMPROF_GIT_SHA", "unknown")
+bench["host_nproc"] = int(os.environ.get("SIMPROF_NPROC", "0"))
 bench["simprof_metrics"] = fold
 with open("BENCH_estimators.json", "w") as f:
     json.dump(bench, f, indent=1)

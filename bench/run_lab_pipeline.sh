@@ -31,9 +31,9 @@ trap 'rm -f "$metrics_tmp"' EXIT
   --benchmark_out=BENCH_lab_pipeline.json \
   --benchmark_out_format=json \
   --benchmark_context=seed_pipeline=dense_column_copy_pearson_serial \
-  --benchmark_context=host_cores="$(nproc)" \
   --benchmark_context=build_type="$SIMPROF_BUILD_TYPE" \
   --benchmark_context=git_sha="$SIMPROF_GIT_SHA" \
+  --benchmark_context=host_nproc="$SIMPROF_NPROC" \
   "$@"
 
 python3 - "$metrics_tmp" <<'EOF'
@@ -61,6 +61,7 @@ for threads in (1, 2, 4, 8):
 
 bench["build_type"] = os.environ.get("SIMPROF_BUILD_TYPE", "unknown")
 bench["git_sha"] = os.environ.get("SIMPROF_GIT_SHA", "unknown")
+bench["host_nproc"] = int(os.environ.get("SIMPROF_NPROC", "0"))
 bench["simprof_metrics"] = {
     "lab": lab,
     "pool": pool,

@@ -31,6 +31,7 @@ trap 'rm -f "$metrics_tmp"' EXIT
   --benchmark_context=seed_BM_SilhouetteSampled_ms=10.0 \
   --benchmark_context=build_type="$SIMPROF_BUILD_TYPE" \
   --benchmark_context=git_sha="$SIMPROF_GIT_SHA" \
+  --benchmark_context=host_nproc="$SIMPROF_NPROC" \
   "$@"
 
 python3 - "$metrics_tmp" <<'EOF'
@@ -48,6 +49,7 @@ keep = {name: metrics.get("histograms", {}).get(name)
         for name in ("kmeans.lloyd_iterations", "silhouette.sample_size")}
 bench["build_type"] = os.environ.get("SIMPROF_BUILD_TYPE", "unknown")
 bench["git_sha"] = os.environ.get("SIMPROF_GIT_SHA", "unknown")
+bench["host_nproc"] = int(os.environ.get("SIMPROF_NPROC", "0"))
 bench["simprof_metrics"] = {
     "pool": pool,
     "choose_k_sweeps": counters.get("choose_k.sweeps", 0),

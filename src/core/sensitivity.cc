@@ -87,16 +87,18 @@ double SensitivityReport::sensitive_point_fraction(
          static_cast<double>(plan.points.size());
 }
 
+void check_sensitivity_threshold(double threshold) {
+  SIMPROF_EXPECTS(std::isfinite(threshold) && threshold >= 0.0,
+                  "sensitivity threshold must be finite and non-negative");
+}
+
 SensitivityReport input_sensitivity_test(
     const PhaseModel& trained,
     const std::vector<const ThreadProfile*>& references,
     const std::vector<std::string>& reference_names, double threshold) {
   SIMPROF_EXPECTS(references.size() == reference_names.size(),
                   "reference name/profile count mismatch");
-  // Every Eq. 6 comparison against a NaN threshold is false, so a NaN would
-  // silently report "0 sensitive"; a negative one flags every phase.
-  SIMPROF_EXPECTS(std::isfinite(threshold) && threshold >= 0.0,
-                  "sensitivity threshold must be finite and non-negative");
+  check_sensitivity_threshold(threshold);
   obs::ObsSpan span("sensitivity.input_test",
                     {{"k", trained.k}, {"references", references.size()}});
   static obs::Counter& tests = obs::metrics().counter("sensitivity.tests");

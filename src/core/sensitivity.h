@@ -53,6 +53,11 @@ struct SensitivityReport {
   double sensitive_point_fraction(const SamplePlan& plan) const;
 };
 
+/// Throws ContractViolation unless `threshold` is finite and non-negative:
+/// every Eq. 6 comparison against a NaN is false, so a NaN would silently
+/// report "0 sensitive", and a negative threshold flags every phase.
+void check_sensitivity_threshold(double threshold);
+
 /// Algorithm 1 over a set of reference profiles.
 SensitivityReport input_sensitivity_test(
     const PhaseModel& trained,

@@ -1,6 +1,7 @@
 #include "hw/cache.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "support/serialize.h"
 
@@ -8,20 +9,26 @@ namespace simprof::hw {
 
 Cache::Cache(const CacheConfig& cfg)
     : cfg_(cfg),
-      sets_(cfg.num_sets()),
+      set_mask_(cfg.num_sets() - 1),
       effective_ways_(cfg.ways),
-      ways_(sets_ * cfg.ways, kInvalid) {}
+      ways_((set_mask_ + 1) * cfg.ways, kInvalid) {}
 
 bool Cache::access(LineAddr line) {
-  const std::size_t set = static_cast<std::size_t>(line % sets_);
-  LineAddr* base = ways_.data() + set * cfg_.ways;
+  LineAddr* base = ways_.data() + (line & set_mask_) * cfg_.ways;
 
-  // Search MRU→LRU; only the first effective_ways_ slots count as resident.
-  for (std::uint32_t i = 0; i < cfg_.ways; ++i) {
+  // MRU hit: nothing moves, and the MRU slot is always inside the
+  // effective ways (there is at least one).
+  if (base[0] == line) {
+    ++stats_.hits;
+    return true;
+  }
+  // Search the rest MRU→LRU; only the first effective_ways_ slots count as
+  // resident. A found line moves to MRU, the ones before it shift down.
+  for (std::uint32_t i = 1; i < cfg_.ways; ++i) {
     if (base[i] != line) continue;
     const bool hit = i < effective_ways_;
-    // Move to MRU position.
-    std::rotate(base, base + i, base + i + 1);
+    std::memmove(base + 1, base, i * sizeof(LineAddr));
+    base[0] = line;
     if (hit) {
       ++stats_.hits;
     } else {
@@ -30,7 +37,7 @@ bool Cache::access(LineAddr line) {
     return hit;
   }
   // Miss: insert at MRU, shifting everything down (LRU way falls off).
-  std::rotate(base, base + cfg_.ways - 1, base + cfg_.ways);
+  std::memmove(base + 1, base, (cfg_.ways - 1) * sizeof(LineAddr));
   base[0] = line;
   ++stats_.misses;
   return false;

@@ -12,6 +12,7 @@
 // per-line-touch rate and all within-line hits are folded into the base CPI.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -33,10 +34,14 @@ struct CacheConfig {
   std::uint64_t size_bytes = 32 * 1024;
   std::uint32_t ways = 8;
 
+  /// Sets are indexed by a mask of the line address, so the set count must
+  /// be a power of two.
   std::size_t num_sets() const {
     SIMPROF_EXPECTS(ways > 0, "cache needs at least one way");
     const std::uint64_t lines = size_bytes / kLineBytes;
     SIMPROF_EXPECTS(lines >= ways, "cache smaller than one set");
+    SIMPROF_EXPECTS(std::has_single_bit(lines / ways),
+                    "cache set count must be a power of two");
     return static_cast<std::size_t>(lines / ways);
   }
 };
@@ -87,7 +92,7 @@ class Cache {
 
  private:
   CacheConfig cfg_;
-  std::size_t sets_;
+  std::size_t set_mask_;  ///< num_sets() - 1
   std::uint32_t effective_ways_;
   // ways_[set*ways + i] is the i-th most recently used line of the set;
   // kInvalid marks an empty slot.

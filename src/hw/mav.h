@@ -15,8 +15,9 @@
 //
 // Reuse distance here is the classic stack distance: the number of
 // *distinct* cache lines touched between two consecutive touches of the same
-// line, computed exactly with a last-position map plus a Fenwick tree over
-// access timestamps (O(log n) per access, n = accesses within the unit).
+// line, computed exactly with a last-position table plus a Fenwick tree over
+// a bitset of access timestamps (O(log n) per access, n = accesses within
+// the unit; no allocation once the tracker has grown to the largest unit).
 // First touches within a unit land in the dedicated cold bucket — the
 // tracker is intra-unit by construction, so "cold" means "no prior touch in
 // this unit", a deterministic property of the unit itself.
@@ -25,7 +26,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "hw/cache.h"
@@ -73,9 +73,9 @@ struct MavBlock {
 
 /// Exact intra-unit reuse-distance tracker. Feed it every line touch of the
 /// profiled core (in execution order) with the level that served it; read
-/// block() at the unit boundary and reset(). State is O(distinct lines
-/// touched since reset); reset keeps capacity so steady-state units do not
-/// reallocate.
+/// block() at the unit boundary and reset(). State is O(distinct lines +
+/// accesses / 8 bytes) of the largest unit seen; reset is O(accesses / 64)
+/// and keeps capacity, so steady-state units do not reallocate.
 class ReuseTracker {
  public:
   void record(LineAddr line, AccessLevel level);
@@ -86,16 +86,30 @@ class ReuseTracker {
   bool empty() const { return now_ == 0; }
 
  private:
-  std::uint64_t prefix(std::uint64_t i) const;
-  void add(std::uint64_t i, std::uint64_t delta);
+  /// One open-addressed entry: a line's most recent timestamp. Only entries
+  /// stamped with the current epoch are live, so reset() empties the table
+  /// by bumping the epoch instead of clearing it.
+  struct Slot {
+    LineAddr line = 0;
+    std::uint64_t t = 0;
+    std::uint16_t epoch = 0;
+  };
+
+  void grow_table();
+  void grow_marks();
+  void add(std::uint64_t word, std::uint64_t delta);
+  std::uint64_t marks_through(std::uint64_t t) const;
 
   MavBlock block_;
-  std::unordered_map<LineAddr, std::uint64_t> last_;  ///< line → timestamp
-  /// Fenwick tree (1-based) over timestamps; a set bit marks the *most
-  /// recent* touch position of some line, so a prefix-sum difference counts
-  /// distinct lines touched in a timestamp interval.
-  std::vector<std::uint64_t> bit_;
-  std::vector<std::uint8_t> mark_;  ///< plain marks, for capacity rebuilds
+  std::vector<Slot> slots_;  ///< power of two, at most half full
+  unsigned shift_ = 64;      ///< 64 - log2(slots_.size()), for the hash
+  std::uint16_t epoch_ = 1;  ///< slots start at epoch 0, i.e. empty
+  std::uint64_t distinct_ = 0;  ///< live entries: lines touched since reset
+  /// Bit t is set iff timestamp t is the *most recent* touch of some line;
+  /// fen_ is a Fenwick tree (1-based) over the words' popcounts, so the
+  /// marks at or before t cost one prefix walk plus one masked popcount.
+  std::vector<std::uint64_t> bits_;
+  std::vector<std::uint64_t> fen_;
   std::uint64_t now_ = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "minispark/graphx.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "jvm/call_stack.h"
 #include "support/assert.h"
@@ -9,6 +8,26 @@
 namespace simprof::spark {
 
 using data::VertexId;
+
+namespace {
+
+/// Merge `msg` into the entry of `acc` for target `v`, or append one (first
+/// touch order) if there is none; `slot[v]` holds that entry's index + 1.
+template <typename T, typename MergeFn>
+void merge_message(std::vector<std::pair<VertexId, T>>& acc,
+                   std::vector<std::uint32_t>& slot, VertexId v, const T& msg,
+                   MergeFn& merge) {
+  std::uint32_t& s = slot[v];
+  if (s == 0) {
+    acc.emplace_back(v, msg);
+    s = static_cast<std::uint32_t>(acc.size());
+  } else {
+    T& a = acc[s - 1].second;
+    a = merge(a, msg);
+  }
+}
+
+}  // namespace
 
 GraphX::GraphX(SparkContext& sc, const data::Graph& graph)
     : sc_(sc),
@@ -50,6 +69,7 @@ GraphX::GraphX(SparkContext& sc, const data::Graph& graph)
   vertex_region_ = space.allocate(vertex_region_bytes_);
   edge_region_ = space.allocate(edge_region_bytes_);
   message_region_ = space.allocate(vertex_region_bytes_);
+  slot_.assign(n, 0);
 }
 
 void GraphX::load_graph() {
@@ -92,14 +112,18 @@ std::vector<std::pair<VertexId, T>> GraphX::aggregate_messages(
       static_cast<double>(edge_region_bytes_) /
       static_cast<double>(std::max<std::uint64_t>(graph_.num_edges(), 1));
 
-  std::vector<std::unordered_map<VertexId, T>> partials(part_lo_.size());
+  // Each partition's messages, one per target in first-touch order, found
+  // through slot_ (index + 1 into the partition's vector, 0 = untouched).
+  // Tasks run one at a time on the host, so the stage shares one slot array
+  // and each task clears the slots it touched before the next one starts.
+  std::vector<std::vector<std::pair<VertexId, T>>> partials(part_lo_.size());
   std::vector<exec::Task> tasks;
   for (std::size_t p = 0; p < part_lo_.size(); ++p) {
     tasks.push_back(exec::Task{
         "aggregate_messages_" + std::to_string(p),
         [&, p](exec::ExecutorContext& ctx) {
           jvm::MethodScope pregel(ctx.stack(), m_pregel_);
-          std::unordered_map<VertexId, T>& local = partials[p];
+          std::vector<std::pair<VertexId, T>>& local = partials[p];
           std::uint64_t scanned_edges = 0;
           std::uint64_t gathers = 0;
           {
@@ -123,10 +147,10 @@ std::vector<std::pair<VertexId, T>> GraphX::aggregate_messages(
                 T msg;
                 if (!gather(v, u, msg)) continue;
                 ++gathers;
-                auto [it, fresh] = local.emplace(u, msg);
-                if (!fresh) it->second = merge(it->second, msg);
+                merge_message(local, slot_, u, msg, merge);
               }
             }
+            for (const auto& m : local) slot_[m.first] = 0;
             // Edge scan: sequential over the touched slice of the CSR.
             exec::scan_region(
                 ctx, edge_region_,
@@ -154,16 +178,17 @@ std::vector<std::pair<VertexId, T>> GraphX::aggregate_messages(
   }
   sc_.run_stage("aggregate_messages", /*shuffle_map=*/true, std::move(tasks));
 
-  // Driver-side merge of the per-partition message maps (functional only;
-  // the simulated cost of combining lives in aggregateUsingIndex above).
-  std::unordered_map<VertexId, T> merged;
-  for (auto& part : partials) {
-    for (auto& [v, msg] : part) {
-      auto [it, fresh] = merged.emplace(v, msg);
-      if (!fresh) it->second = merge(it->second, msg);
-    }
+  // Driver-side merge of the per-partition messages (functional only; the
+  // simulated cost of combining lives in aggregateUsingIndex above), through
+  // the same slot array. A target's value is merged in edge-scan order
+  // within a partition and in partition order across them, so
+  // floating-point sums do not depend on this container; `out` lists each
+  // target once, in first-touch order.
+  std::vector<std::pair<VertexId, T>> out;
+  for (const auto& part : partials) {
+    for (const auto& [v, msg] : part) merge_message(out, slot_, v, msg, merge);
   }
-  std::vector<std::pair<VertexId, T>> out(merged.begin(), merged.end());
+  for (const auto& m : out) slot_[m.first] = 0;
   stats_.total_messages += out.size();
   return out;
 }

@@ -44,8 +44,6 @@ class GraphX {
   std::size_t num_edge_partitions() const { return part_lo_.size(); }
 
  private:
-  struct MessageBatch;
-
   /// Run the load stage (GraphLoader + mapPartitionsWithIndex) once.
   void load_graph();
 
@@ -73,6 +71,10 @@ class GraphX {
   std::uint64_t edge_region_ = 0;
   std::uint64_t edge_region_bytes_ = 0;
   std::uint64_t message_region_ = 0;
+
+  /// aggregate_messages' target → message index + 1 (0 = none yet); all
+  /// zero between uses.
+  std::vector<std::uint32_t> slot_;
 
   // Pre-interned GraphX method names.
   jvm::MethodId m_load_;

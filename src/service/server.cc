@@ -293,6 +293,18 @@ void ServiceServer::admit(const std::shared_ptr<Connection>& conn,
                                      Status::kUnknownWorkload, e.what()));
     return;
   }
+  // So is a sensitivity threshold Eq. 6 cannot use: refused here, it costs
+  // no oracle pass (run_sensitivity would only meet it after run_batch).
+  if (const auto* q = std::get_if<SensitivityRequest>(&body)) {
+    try {
+      core::check_sensitivity_threshold(q->threshold);
+    } catch (const ContractViolation& e) {
+      svc_metrics().bad_request.increment();
+      send_payload(conn, pack_response(header.request_id,
+                                       Status::kBadRequest, e.what()));
+      return;
+    }
+  }
 
   // Per-client quota. Frames of one connection are handled serially by its
   // reader thread, so check-then-increment cannot race with itself.

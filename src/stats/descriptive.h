@@ -50,34 +50,4 @@ CovSummary grouped_cov(std::span<const double> values,
 /// Pearson correlation coefficient; 0 when either side is constant.
 double pearson(std::span<const double> xs, std::span<const double> ys);
 
-/// Incremental moment accumulator (Welford's online algorithm) — the
-/// streaming sibling of mean/sample_variance above, for statistics kept
-/// current without retaining the observations.
-///
-/// Small-sample conventions match the batch estimators: count < 2 yields
-/// variance/stddev 0, an empty accumulator reports mean/min/max 0. merge()
-/// folds another accumulator in with Chan's parallel update; a fixed fold
-/// order yields a deterministic (though not bitwise batch-identical) result,
-/// so bit-identity-critical paths use the batch estimators instead.
-class RunningMoments {
- public:
-  void push(double x);
-  void merge(const RunningMoments& other);
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator), 0 when fewer than 2 observations.
-  double sample_variance() const;
-  double sample_stddev() const;
-  double min() const { return n_ > 0 ? min_ : 0.0; }
-  double max() const { return n_ > 0 ? max_ : 0.0; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 }  // namespace simprof::stats

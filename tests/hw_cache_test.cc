@@ -2,9 +2,13 @@
 // semantics, pressure-partitioned LLC, migration flushes and cost charging.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "hw/cache.h"
 #include "hw/memory_system.h"
 #include "support/assert.h"
+#include "support/rng.h"
 
 namespace simprof::hw {
 namespace {
@@ -84,6 +88,67 @@ TEST(Cache, EffectiveWaysClampedToConfig) {
 
 TEST(Cache, RejectsDegenerateGeometry) {
   EXPECT_THROW(Cache(CacheConfig{64, 8}), ContractViolation);  // < one set
+}
+
+TEST(Cache, RejectsNonPowerOfTwoSetCount) {
+  // Sets are indexed by a mask, so 3, 6 or 12 sets cannot be modelled.
+  EXPECT_THROW((CacheConfig{3 * 4 * kLineBytes, 4}.num_sets()),
+               ContractViolation);
+  EXPECT_THROW(Cache(CacheConfig{6 * 2 * kLineBytes, 2}), ContractViolation);
+  EXPECT_THROW(Cache(CacheConfig{12 * 16 * kLineBytes, 16}),
+               ContractViolation);
+  EXPECT_EQ((CacheConfig{8 * 16 * kLineBytes, 16}.num_sets()), 8u);
+}
+
+/// Reference model: each set an MRU-first vector updated by std::rotate,
+/// with a line resident only inside the first `effective` ways.
+class RotateLru {
+ public:
+  RotateLru(std::size_t sets, std::uint32_t ways)
+      : ways_(ways), tags_(sets, std::vector<LineAddr>(ways, ~LineAddr{0})) {}
+
+  bool access(LineAddr line, std::uint32_t effective) {
+    auto& set = tags_[line % tags_.size()];
+    for (std::uint32_t i = 0; i < ways_; ++i) {
+      if (set[i] != line) continue;
+      std::rotate(set.begin(), set.begin() + i, set.begin() + i + 1);
+      return i < effective;
+    }
+    std::rotate(set.begin(), set.end() - 1, set.end());
+    set[0] = line;
+    return false;
+  }
+
+ private:
+  std::uint32_t ways_;
+  std::vector<std::vector<LineAddr>> tags_;
+};
+
+TEST(Cache, MatchesRotateLruReferenceUnderPressure) {
+  Rng rng(0xcace);
+  for (const std::uint32_t ways : {1u, 2u, 4u, 8u, 16u}) {
+    const CacheConfig cfg{static_cast<std::uint64_t>(ways) * 8 * kLineBytes,
+                          ways};  // 8 sets
+    Cache cache(cfg);
+    RotateLru ref(cfg.num_sets(), ways);
+    std::uint64_t hits = 0;
+    for (int i = 0; i < 40'000; ++i) {
+      if (i % 997 == 0) {
+        // Pressure changes mid-stream, mostly below the physical ways.
+        cache.set_effective_ways(
+            1 + static_cast<std::uint32_t>(rng.next_below(ways)));
+      }
+      // A hot subset for MRU and mid-stack hits, plus a wide tail for
+      // misses and evictions.
+      const LineAddr line = rng.next_bool(0.7) ? rng.next_below(3 * ways)
+                                               : rng.next_below(64 * ways);
+      const bool want = ref.access(line, cache.effective_ways());
+      ASSERT_EQ(cache.access(line), want) << "ways " << ways << " i " << i;
+      hits += want ? 1 : 0;
+    }
+    EXPECT_EQ(cache.stats().hits, hits);
+    EXPECT_EQ(cache.stats().accesses(), 40'000u);
+  }
 }
 
 TEST(CacheStats, MissRate) {

@@ -599,7 +599,44 @@ TEST(ServiceServer, MeasureAndSensitivityVerbsWork) {
   server.request_stop();
   server.wait();
   EXPECT_EQ(server.stats().completed, 3u);
-  EXPECT_EQ(server.stats().errors, 1u);  // the NaN threshold
+  // Refused at admission, like an unknown workload: never accepted work.
+  EXPECT_EQ(server.stats().errors, 0u);
+}
+
+TEST(ServiceServer, BadThresholdIsRefusedBeforeAnyOraclePass) {
+  // On a cold cache every admitted sensitivity request costs oracle passes
+  // for the workload and each reference; a threshold Eq. 6 cannot use must
+  // be refused before the lab runs any of them.
+  ScratchDir dir;
+  ServiceConfig cfg = small_service(dir);
+  ServiceServer server(cfg);
+  server.start();
+  ServiceClient client(cfg.socket_path);
+
+  const std::uint64_t misses0 = counter_value("lab.cache_misses");
+  const std::uint64_t batches0 = counter_value("lab.batch_runs");
+  SensitivityRequest sq;
+  sq.workload = "grep_sp";
+  sq.references = {"wc_sp"};
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -0.1,
+                           std::numeric_limits<double>::infinity()}) {
+    sq.threshold = bad;
+    const auto reply = client.sensitivity(sq);
+    EXPECT_EQ(reply.status, Status::kBadRequest) << bad;
+    EXPECT_FALSE(reply.message.empty());
+  }
+  EXPECT_EQ(counter_value("lab.cache_misses"), misses0);
+  EXPECT_EQ(counter_value("lab.batch_runs"), batches0);
+
+  // The same connection still serves a valid request.
+  ProfileRequest pq;
+  pq.workload = "grep_sp";
+  EXPECT_EQ(client.profile(pq).status, Status::kOk);
+
+  server.request_stop();
+  server.wait();
+  EXPECT_EQ(server.stats().completed, 1u);
+  EXPECT_EQ(server.stats().errors, 0u);
 }
 
 // ---------------------------------------------------------------------------

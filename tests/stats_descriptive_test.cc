@@ -2,7 +2,6 @@
 // the Figure 6 homogeneity analysis.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -130,58 +129,6 @@ TEST_P(GroupedCovProperty, WeightedBelowPopulationForTrueGrouping) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GroupedCovProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
-
-TEST(RunningMoments, MatchesBatchStatistics) {
-  Rng rng(17);
-  std::vector<double> xs;
-  RunningMoments rm;
-  for (std::size_t i = 0; i < 500; ++i) {
-    const double x = 1.0 + rng.next_gaussian();
-    xs.push_back(x);
-    rm.push(x);
-  }
-  EXPECT_EQ(rm.count(), xs.size());
-  EXPECT_NEAR(rm.mean(), mean(xs), 1e-12);
-  EXPECT_NEAR(rm.sample_stddev(), sample_stddev(xs), 1e-12);
-  EXPECT_DOUBLE_EQ(rm.min(), *std::min_element(xs.begin(), xs.end()));
-  EXPECT_DOUBLE_EQ(rm.max(), *std::max_element(xs.begin(), xs.end()));
-}
-
-TEST(RunningMoments, MergeEqualsSequentialPush) {
-  Rng rng(19);
-  RunningMoments all, left, right;
-  for (std::size_t i = 0; i < 300; ++i) {
-    const double x = rng.next_double() * 4.0 - 2.0;
-    all.push(x);
-    (i < 120 ? left : right).push(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(left.sample_variance(), all.sample_variance(), 1e-12);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(RunningMoments, DegenerateCounts) {
-  RunningMoments rm;
-  EXPECT_EQ(rm.count(), 0u);
-  EXPECT_DOUBLE_EQ(rm.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(rm.sample_variance(), 0.0);  // n < 2 → defined zero
-  rm.push(3.5);
-  EXPECT_DOUBLE_EQ(rm.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(rm.sample_variance(), 0.0);
-  EXPECT_DOUBLE_EQ(rm.min(), 3.5);
-  EXPECT_DOUBLE_EQ(rm.max(), 3.5);
-
-  // Merging an empty accumulator in either direction is a no-op.
-  RunningMoments empty;
-  rm.merge(empty);
-  EXPECT_EQ(rm.count(), 1u);
-  empty.merge(rm);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 3.5);
-}
 
 }  // namespace
 }  // namespace simprof::stats
