@@ -11,10 +11,10 @@
 #
 # Seed-PR baseline recorded as context: the seed pipeline is the dense
 # feature matrix + per-column-copy two-pass Pearson + per-unit classify,
-# i.e. exactly what BM_PipelineNaive measures on this host. The CI host has
-# a single core, so thread sweeps measure scheduling overhead, not speedup;
-# the headline ≥2× comes from the algorithmic restructure and holds at
-# every thread count.
+# i.e. exactly what BM_PipelineNaive measures on this host. On a single
+# core (see host_nproc) thread sweeps measure scheduling overhead, not
+# speedup; the headline ≥2× comes from the algorithmic restructure and
+# holds at every thread count.
 #
 # Usage: bench/run_lab_pipeline.sh [extra google-benchmark flags]
 set -e
